@@ -6,11 +6,13 @@ poor / fair / good / excellent detection bins for both systems.
 """
 
 from benchmarks.conftest import BENCH_SEED
-from repro.bench import run_figure3
+from repro.bench import figure3_spec, run_artifact
+from repro.core.spec import ExecutionSpec
 
 
 def test_figure3_mysql_vs_postgres(run_once):
-    result = run_once(run_figure3, seed=BENCH_SEED, experiments_per_directive=20)
+    spec = figure3_spec(experiments_per_directive=20, execution=ExecutionSpec(seed=BENCH_SEED))
+    result = run_once(run_artifact, "figure3", spec)
 
     print("\n\nFigure 3 -- Resilience to typos in MySQL and Postgres\n" + result.chart_text + "\n")
 

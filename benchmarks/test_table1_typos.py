@@ -6,12 +6,16 @@ Postgres and Apache, and prints the table in the paper's layout.
 """
 
 from benchmarks.conftest import BENCH_SEED
-from repro.bench import run_table1
+from repro.bench import run_artifact, table1_spec
 from repro.core.profile import InjectionOutcome
+from repro.core.spec import ExecutionSpec
 
 
 def test_table1_resilience_to_typos(run_once):
-    result = run_once(run_table1, seed=BENCH_SEED, typos_per_directive=10, directives_per_section=10)
+    spec = table1_spec(
+        typos_per_directive=10, directives_per_section=10, execution=ExecutionSpec(seed=BENCH_SEED)
+    )
+    result = run_once(run_artifact, "table1", spec)
 
     print("\n\nTable 1 -- Resilience to typos\n" + result.table_text + "\n")
 

@@ -8,7 +8,8 @@ support matrix cell by cell.
 import pytest
 
 from benchmarks.conftest import BENCH_SEED
-from repro.bench import run_table2
+from repro.bench import run_artifact, table2_spec
+from repro.core.spec import ExecutionSpec
 
 #: The support matrix exactly as printed in the paper's Table 2.
 PAPER_TABLE2 = {
@@ -37,7 +38,8 @@ PAPER_TABLE2 = {
 
 
 def test_table2_resilience_to_structural_errors(run_once):
-    result = run_once(run_table2, seed=BENCH_SEED, variants_per_class=10)
+    spec = table2_spec(variants_per_class=10, execution=ExecutionSpec(seed=BENCH_SEED))
+    result = run_once(run_artifact, "table2", spec)
 
     print("\n\nTable 2 -- Resilience to structural errors\n" + result.table_text + "\n")
 

@@ -6,8 +6,9 @@ found / not found / N/A, reproducing the paper's Table 3 cell by cell.
 """
 
 from benchmarks.conftest import BENCH_SEED
-from repro.bench import run_table3
+from repro.bench import run_artifact, table3_spec
 from repro.core.profile import InjectionOutcome
+from repro.core.spec import ExecutionSpec
 
 #: The behaviour matrix exactly as printed in the paper's Table 3.
 PAPER_TABLE3 = {
@@ -19,7 +20,8 @@ PAPER_TABLE3 = {
 
 
 def test_table3_resilience_to_semantic_errors(run_once):
-    result = run_once(run_table3, seed=BENCH_SEED, max_scenarios_per_class=3)
+    spec = table3_spec(max_scenarios_per_class=3, execution=ExecutionSpec(seed=BENCH_SEED))
+    result = run_once(run_artifact, "table3", spec)
 
     print("\n\nTable 3 -- Resilience to semantic errors\n" + result.table_text + "\n")
 

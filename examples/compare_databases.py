@@ -17,11 +17,13 @@ Run with::
     python examples/compare_databases.py
 """
 
-from repro.bench import run_figure3
+from repro.bench import figure3_spec, run_artifact
+from repro.core.spec import ExecutionSpec
 
 
 def main() -> None:
-    result = run_figure3(seed=2008, experiments_per_directive=20)
+    spec = figure3_spec(experiments_per_directive=20, execution=ExecutionSpec(seed=2008))
+    result = run_artifact("figure3", spec)
 
     print("Share of directives per detection-quality bin (Figure 3):\n")
     print(result.chart_text)

@@ -19,12 +19,13 @@ Run with::
     python examples/dns_semantic_errors.py
 """
 
-from repro.bench import run_table3
+from repro.bench import run_artifact, table3_spec
 from repro.core.profile import InjectionOutcome
+from repro.core.spec import ExecutionSpec
 
 
 def main() -> None:
-    result = run_table3(seed=2008)
+    result = run_artifact("table3", table3_spec(execution=ExecutionSpec(seed=2008)))
 
     print("Behaviour per fault class (Table 3):\n")
     print(result.table_text)

@@ -300,8 +300,6 @@ def check_duplicate_label(target: SpecTarget) -> Iterator[Diagnostic]:
     """Two systems or plugins resolve to the same store/table key."""
     if target.spec is None:
         return
-    from repro.sut.base import split_sut
-
     seen_systems: dict[str, int] = {}
     seen_displays: dict[str, int] = {}
     for index, system in enumerate(target.spec.systems):
@@ -319,24 +317,28 @@ def check_duplicate_label(target: SpecTarget) -> Iterator[Diagnostic]:
             )
             continue
         seen_systems[system.key] = index
-        sut = target.system_sut(index)
-        if sut is None:
-            continue
-        if sut.name in seen_displays:
-            other = target.spec.systems[seen_displays[sut.name]]
+        # the display name CampaignSuite.system_names() gives the system
+        display = system.label
+        if display is None:
+            sut = target.system_sut(index)
+            if sut is None:
+                continue
+            display = sut.name
+        if display in seen_displays:
+            other = target.spec.systems[seen_displays[display]]
             yield Diagnostic(
                 code="spec/duplicate-label",
                 message=(
                     f"system {system.name!r} and {other.name!r} "
-                    f"(systems[{seen_displays[sut.name]}]) share the SUT display "
-                    f"name {sut.name!r}; rendered tables would merge them"
+                    f"(systems[{seen_displays[display]}]) share the SUT display "
+                    f"name {display!r}; rendered tables would merge them"
                 ),
                 severity=Severity.ERROR,
                 path=f"systems[{index}]",
                 file=target.file,
             )
             continue
-        seen_displays[sut.name] = index
+        seen_displays[display] = index
     seen_plugins: dict[str, int] = {}
     for index, plugin in enumerate(target.spec.plugins):
         if plugin.key in seen_plugins:

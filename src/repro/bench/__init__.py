@@ -1,4 +1,4 @@
-"""Experiment runners that regenerate the paper's tables and figures.
+"""The paper's tables and figures, each a spec builder plus a store renderer.
 
 Each module corresponds to one evaluation artefact:
 
@@ -10,23 +10,31 @@ Each module corresponds to one evaluation artefact:
   (beyond the paper: every registered system crossed with every error family),
 * :mod:`repro.bench.timing`  -- per-injection wall-clock cost (Section 5.2's timing remarks).
 
-The ``benchmarks/`` pytest-benchmark suite and the ``conferr`` CLI both call
-into these runners; EXPERIMENTS.md records paper-vs-measured values.
+An artefact is run one way only: :func:`run_artifact` sends its spec
+(``table1_spec`` & co.) through the campaign suite into a result store
+and renders it from that store (``table1_from_store`` & co.), e.g.::
+
+    run_artifact("table1", table1_spec(typos_per_directive=3))
+
+The ``benchmarks/`` pytest-benchmark suite, the ``conferr`` CLI and the
+campaign service all go through this path.
 """
 
-from repro.bench.table1 import Table1Result, run_table1, table1_from_store
-from repro.bench.table2 import Table2Result, run_table2, table2_from_store
-from repro.bench.table3 import Table3Result, run_table3, table3_from_store
-from repro.bench.figure3 import Figure3Result, figure3_from_store, run_figure3
-from repro.bench.matrix import MatrixResult, matrix_from_store, matrix_spec, run_matrix
+from repro.bench.table1 import Table1Result, table1_from_store, table1_spec
+from repro.bench.table2 import Table2Result, table2_from_store, table2_spec
+from repro.bench.table3 import Table3Result, table3_from_store, table3_spec
+from repro.bench.figure3 import Figure3Result, figure3_from_store, figure3_spec
+from repro.bench.matrix import MatrixResult, matrix_from_store, matrix_spec
+from repro.bench.artifacts import render_artifact, run_artifact
 from repro.bench.timing import ThroughputResult, campaign_throughput, time_single_injection
 
 __all__ = [
-    "run_table1",
-    "run_table2",
-    "run_table3",
-    "run_figure3",
-    "run_matrix",
+    "run_artifact",
+    "render_artifact",
+    "table1_spec",
+    "table2_spec",
+    "table3_spec",
+    "figure3_spec",
     "matrix_spec",
     "table1_from_store",
     "table2_from_store",

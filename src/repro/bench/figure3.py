@@ -18,9 +18,7 @@ the system detects.  Concretely (and as in the paper):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
-from repro.core.engine import InjectionEngine
 from repro.core.profile import ResilienceProfile
 from repro.core.report import (
     detection_distribution,
@@ -30,27 +28,15 @@ from repro.core.report import (
 from repro.core.spec import ExecutionSpec, ExperimentSpec, PluginSpec, SystemSpec
 from repro.core.store import ResultStore
 from repro.core.views.token_view import TOKEN_DIRECTIVE_VALUE
-from repro.bench.persist import write_bench_manifest
-from repro.sut.base import SystemUnderTest, split_sut
 
-__all__ = [
-    "Figure3Result",
-    "run_figure3",
-    "run_figure3_for",
-    "figure3_from_store",
-    "figure3_spec",
-]
+__all__ = ["Figure3Result", "figure3_from_store", "figure3_spec"]
 
 #: Store campaign key for the one plugin the comparison runs per system.
 FIGURE3_CAMPAIGN = "value-typos"
 
 
 def figure3_spec(
-    seed: int = 2008,
-    experiments_per_directive: int = 20,
-    jobs: int = 1,
-    executor: str | None = None,
-    block_size: int | None = None,
+    experiments_per_directive: int = 20, execution: ExecutionSpec | None = None
 ) -> ExperimentSpec:
     """The Figure 3 comparison as a declarative spec.
 
@@ -72,7 +58,7 @@ def figure3_spec(
                 },
             ),
         ),
-        execution=ExecutionSpec(seed=seed, jobs=jobs, executor=executor, block_size=block_size),
+        execution=execution or ExecutionSpec(),
     )
 
 
@@ -90,106 +76,11 @@ class Figure3Result:
         return self.distributions[system].get(bin_label, 0.0)
 
 
-def run_figure3_for(
-    sut: SystemUnderTest | Callable[[], SystemUnderTest],
-    seed: int = 2008,
-    experiments_per_directive: int = 20,
-    jobs: int = 1,
-    executor: str | None = None,
-    block_size: int | None = None,
-    store: ResultStore | None = None,
-    system_key: str | None = None,
-) -> tuple[dict[str, float], ResilienceProfile]:
-    """Run the comparison procedure for one system.
-
-    Returns the per-directive detection rates and the full profile.
-    """
-    sut, sut_factory = split_sut(sut)
-    (plugin,) = figure3_spec(
-        seed=seed, experiments_per_directive=experiments_per_directive
-    ).build_plugins()
-    observer = None
-    if store is not None:
-        key = system_key or sut.name
-        observer = lambda record, key=key: store.append(key, FIGURE3_CAMPAIGN, record)
-    engine = InjectionEngine(
-        sut,
-        plugin,
-        seed=seed,
-        observer=observer,
-        sut_factory=sut_factory,
-        jobs=jobs,
-        executor=executor,
-        block_size=block_size,
-    )
-    profile = engine.run()
-    return per_directive_detection_rates(profile), profile
-
-
-def run_figure3(
-    seed: int = 2008,
-    experiments_per_directive: int = 20,
-    systems: dict[str, SystemUnderTest | Callable[[], SystemUnderTest]] | None = None,
-    jobs: int = 1,
-    executor: str | None = None,
-    block_size: int | None = None,
-    store: ResultStore | None = None,
-) -> Figure3Result:
-    """Run the Figure 3 comparison for MySQL and Postgres.
-
-    The run is wired from :func:`figure3_spec`.  With a ``store`` the
-    per-system records are persisted under the :data:`FIGURE3_CAMPAIGN` key
-    (the manifest embeds the serialized spec); :func:`figure3_from_store`
-    re-renders the distributions from those records.
-    """
-    spec = figure3_spec(
-        seed=seed,
-        experiments_per_directive=experiments_per_directive,
-        jobs=jobs,
-        executor=executor,
-        block_size=block_size,
-    )
-    suts = systems if systems is not None else spec.build_systems()
-    if store is not None:
-        write_bench_manifest(
-            store,
-            kind="figure3",
-            seed=seed,
-            suts=suts,
-            plugins=[{"name": FIGURE3_CAMPAIGN, "params": {}}],
-            params={"experiments_per_directive": experiments_per_directive},
-            spec=spec if systems is None else None,
-        )
-    per_directive_rates: dict[str, dict[str, float]] = {}
-    distributions: dict[str, dict[str, float]] = {}
-    profiles: dict[str, ResilienceProfile] = {}
-    for name, sut in suts.items():
-        rates, profile = run_figure3_for(
-            sut,
-            seed=seed,
-            experiments_per_directive=experiments_per_directive,
-            jobs=jobs,
-            executor=executor,
-            block_size=block_size,
-            store=store,
-            system_key=name,
-        )
-        per_directive_rates[name] = rates
-        distributions[name] = detection_distribution(rates)
-        profiles[name] = profile
-    return Figure3Result(
-        per_directive_rates=per_directive_rates,
-        distributions=distributions,
-        profiles=profiles,
-        chart_text=render_distribution_chart(distributions),
-    )
-
-
 def figure3_from_store(store: ResultStore) -> Figure3Result:
     """Rebuild a :class:`Figure3Result` from records on disk.
 
-    The per-directive detection rates are recomputed from the stored
-    records' metadata, exactly as the live run computes them.
+    The per-directive detection rates are computed from the stored
+    records' metadata.
     """
     store.require_kind("figure3", "suite")
     per_directive_rates: dict[str, dict[str, float]] = {}

@@ -6,11 +6,9 @@ system crossed with every applicable error family, rendered as one table
 whose cells are ``detected/injected (rate)``.  Adding a system or a plugin
 to the registries grows the matrix automatically.
 
-The driver reuses the campaign-suite machinery end to end, so a matrix run
-is resumable, persistable and executor-invariant like any suite:
-:func:`run_matrix` executes (optionally into a result store) and
-:func:`matrix_from_store` re-renders a stored run byte-identically without
-re-running a single injection.
+A matrix run is an ordinary campaign suite over :func:`matrix_spec`, so it
+is resumable, persistable and executor-invariant like any suite, and
+:func:`matrix_from_store` renders it (or any suite store) from disk.
 """
 
 from __future__ import annotations
@@ -19,16 +17,14 @@ from dataclasses import dataclass
 
 from repro.core.profile import ResilienceProfile
 from repro.core.report import resilience_matrix_table, store_matrix_profiles
-from repro.core.spec import ExecutionSpec, ExperimentSpec, PluginSpec, StoreSpec, SystemSpec
+from repro.core.spec import ExecutionSpec, ExperimentSpec, PluginSpec, SystemSpec
 from repro.core.store import ResultStore
-from repro.core.suite import CampaignSuite, SuiteResult
 
 __all__ = [
     "MatrixResult",
     "MATRIX_SYSTEMS",
     "MATRIX_PLUGINS",
     "matrix_spec",
-    "run_matrix",
     "matrix_from_store",
 ]
 
@@ -54,81 +50,26 @@ class MatrixResult:
 def matrix_spec(
     systems: tuple[str, ...] | list[str] | None = None,
     plugins: tuple[str, ...] | list[str] | None = None,
-    seed: int = 2008,
-    jobs: int = 1,
-    executor: str | None = None,
-    block_size: int | None = None,
-    mutations_per_token: int | None = 1,
-    max_scenarios_per_class: int | None = None,
-    store: str | None = None,
-    resume: bool = False,
+    execution: ExecutionSpec | None = None,
 ) -> ExperimentSpec:
     """The matrix experiment as a declarative spec.
 
-    ``mutations_per_token`` defaults to 1 (the CLI's default) rather than
-    the spelling plugin's exhaustive enumeration: an M x N matrix multiplies
-    whatever each cell costs.
+    The default execution sets ``mutations_per_token`` to 1 (the CLI's
+    default) rather than the spelling plugin's exhaustive enumeration: an
+    M x N matrix multiplies whatever each cell costs.
     """
     return ExperimentSpec(
         systems=tuple(SystemSpec(name) for name in (systems or MATRIX_SYSTEMS)),
         plugins=tuple(PluginSpec(name) for name in (plugins or MATRIX_PLUGINS)),
-        execution=ExecutionSpec(
-            seed=seed,
-            jobs=jobs,
-            executor=executor,
-            block_size=block_size,
-            mutations_per_token=mutations_per_token,
-            max_scenarios_per_class=max_scenarios_per_class,
-        ),
-        store=StoreSpec(root=store, resume=resume) if store else None,
+        execution=execution or ExecutionSpec(mutations_per_token=1),
     )
-
-
-def _result_from_suite(result: SuiteResult) -> MatrixResult:
-    return MatrixResult(profiles=result.profiles_by_display(), table_text=result.matrix())
-
-
-def run_matrix(
-    systems: tuple[str, ...] | list[str] | None = None,
-    plugins: tuple[str, ...] | list[str] | None = None,
-    seed: int = 2008,
-    jobs: int = 1,
-    executor: str | None = None,
-    block_size: int | None = None,
-    mutations_per_token: int | None = 1,
-    max_scenarios_per_class: int | None = None,
-    store: ResultStore | None = None,
-    resume: bool = False,
-) -> MatrixResult:
-    """Run the whole matrix (optionally persisting into ``store``).
-
-    The run is an ordinary campaign suite: per-cell seeds derive from the
-    one experiment seed, records stream into the store as they land, and an
-    interrupted run resumes with ``resume=True``.
-    """
-    spec = matrix_spec(
-        systems=systems,
-        plugins=plugins,
-        seed=seed,
-        jobs=jobs,
-        executor=executor,
-        block_size=block_size,
-        mutations_per_token=mutations_per_token,
-        max_scenarios_per_class=max_scenarios_per_class,
-        store=str(store.root) if store is not None else None,
-        resume=resume,
-    )
-    suite = CampaignSuite.from_spec(spec)
-    result = suite.run(store=store, resume=resume)
-    return _result_from_suite(result)
 
 
 def matrix_from_store(store: ResultStore) -> MatrixResult:
     """Rebuild a :class:`MatrixResult` from records on disk.
 
     Works for any suite-kind store (``conferr suite --store`` and
-    ``conferr matrix --store`` write the same layout); the rendered table
-    is byte-identical to the live run's.
+    ``conferr matrix --store`` write the same layout).
     """
     store.require_kind("suite")
     profiles, plugin_order = store_matrix_profiles(store)

@@ -9,48 +9,37 @@ of MySQL, Postgres and Apache (Section 5.2):
 * typos in directive values (same selection, typos in the values).
 
 Outcomes are classified as detected at startup, detected by the functional
-tests or ignored; the runner returns per-system profiles and renders the
-Table 1 layout.
+tests or ignored; :func:`table1_spec` describes the run and
+:func:`table1_from_store` renders the per-system profiles in the Table 1
+layout.
 """
 
 from __future__ import annotations
 
-import copy
-import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
-from repro.core.engine import InjectionEngine
 from repro.core.profile import ResilienceProfile
 from repro.core.report import typo_resilience_table
 from repro.core.spec import ExecutionSpec, ExperimentSpec, PluginSpec, SystemSpec
 from repro.core.store import ResultStore
-from repro.core.views.token_view import TOKEN_DIRECTIVE_NAME, TOKEN_DIRECTIVE_VALUE, TokenView
-from repro.bench.persist import write_bench_manifest
-from repro.plugins.spelling import SpellingMistakesPlugin
-from repro.sut.base import SystemUnderTest, split_sut
+from repro.core.views.token_view import TOKEN_DIRECTIVE_NAME, TOKEN_DIRECTIVE_VALUE
 
-__all__ = ["Table1Result", "run_table1", "run_table1_for", "table1_from_store", "table1_spec"]
-
-#: Store campaign keys for the three Table 1 error classes, in run order.
-TABLE1_CAMPAIGNS = ("omit-directive", "name-typos", "value-typos")
+__all__ = ["Table1Result", "table1_from_store", "table1_spec"]
 
 
 def table1_spec(
-    seed: int = 2008,
     typos_per_directive: int = 10,
-    jobs: int = 1,
-    executor: str | None = None,
-    block_size: int | None = None,
+    directives_per_section: int = 10,
+    execution: ExecutionSpec | None = None,
 ) -> ExperimentSpec:
     """The Table 1 experiment as a declarative spec.
 
     MySQL uses the server-group-only workload variant so that every injected
     typo targets a directive the server actually parses at startup; the paper
-    counts 14 directives for MySQL, 8 for Postgres and 98 for Apache.  The
-    two ``spelling`` entries carry distinct labels -- they are separate
-    campaigns over different token types.  (The per-section directive
-    selection is a token filter applied on top of the spec-built plugins.)
+    counts 14 directives for MySQL, 8 for Postgres and 98 for Apache.  Name
+    and value typos are one ``spelling`` campaign over both token types, so
+    one random draw of ``directives_per_section`` directives per section
+    gets its names and its values misspelled.
     """
     return ExperimentSpec(
         systems=(
@@ -62,22 +51,15 @@ def table1_spec(
             PluginSpec("structural", label="omit-directive", params={"include": ["omit-directive"]}),
             PluginSpec(
                 "spelling",
-                label="name-typos",
+                label="typos",
                 params={
-                    "token_types": [TOKEN_DIRECTIVE_NAME],
+                    "token_types": [TOKEN_DIRECTIVE_NAME, TOKEN_DIRECTIVE_VALUE],
                     "mutations_per_token": typos_per_directive,
-                },
-            ),
-            PluginSpec(
-                "spelling",
-                label="value-typos",
-                params={
-                    "token_types": [TOKEN_DIRECTIVE_VALUE],
-                    "mutations_per_token": typos_per_directive,
+                    "directives_per_section": directives_per_section,
                 },
             ),
         ),
-        execution=ExecutionSpec(seed=seed, jobs=jobs, executor=executor, block_size=block_size),
+        execution=execution or ExecutionSpec(),
     )
 
 
@@ -93,160 +75,12 @@ class Table1Result:
         return self.profiles[system].detection_rate()
 
 
-def _selected_directive_paths(
-    sut: SystemUnderTest, per_section: int, seed: int
-) -> set[tuple[str, tuple[int, ...]]]:
-    """Pick up to ``per_section`` directives per section, as the paper does.
-
-    Selection is expressed in terms of the token view's stable source paths
-    so that the filter can be applied inside a later, independent transform.
-    """
-    engine = InjectionEngine(sut, SpellingMistakesPlugin(), seed=seed)
-    config_set = engine.parse_initial_configuration()
-    view_set = TokenView().transform(config_set)
-    rng = random.Random(seed)
-
-    per_group: dict[tuple[str, tuple[int, ...]], set[tuple[str, tuple[int, ...]]]] = {}
-    for tree in view_set:
-        for line in tree.root.children_of_kind("line"):
-            if line.get("source_kind") != "directive":
-                continue
-            path = tuple(line.get("source_path", ()))
-            group = (tree.name, path[:-1])  # the section (or file root) holding it
-            per_group.setdefault(group, set()).add((tree.name, path))
-
-    selected: set[tuple[str, tuple[int, ...]]] = set()
-    for group_members in per_group.values():
-        members = sorted(group_members)
-        if len(members) > per_section:
-            members = rng.sample(members, per_section)
-        selected.update(members)
-    return selected
-
-
-def _token_filter_for(selected: set[tuple[str, tuple[int, ...]]]):
-    def accept(token) -> bool:
-        return (token.get("source_tree"), tuple(token.get("source_path", ()))) in selected
-
-    return accept
-
-
-def run_table1_for(
-    sut: SystemUnderTest | Callable[[], SystemUnderTest],
-    seed: int = 2008,
-    directives_per_section: int = 10,
-    typos_per_directive: int = 10,
-    jobs: int = 1,
-    executor: str | None = None,
-    block_size: int | None = None,
-    store: ResultStore | None = None,
-    system_key: str | None = None,
-    plugins: Sequence | None = None,
-) -> ResilienceProfile:
-    """Run the three Table 1 error classes against one SUT and merge the profiles.
-
-    ``sut`` may be an instance or a factory; ``jobs``/``executor`` fan the
-    scenarios of each error class out across workers (note that the token
-    filters are closures, so the thread strategy is the parallel option here).
-    ``plugins`` defaults to :func:`table1_spec`'s spec-built instances; the
-    paper's per-section directive selection is applied to every spelling
-    plugin as a token filter.  When ``store`` is given, every record is
-    appended under the system's key and the plugin's campaign label.
-    """
-    sut, sut_factory = split_sut(sut)
-    selected = _selected_directive_paths(sut, directives_per_section, seed)
-    token_filter = _token_filter_for(selected)
-
-    if plugins is None:
-        plugins = table1_spec(
-            seed=seed, typos_per_directive=typos_per_directive, jobs=jobs, executor=executor
-        ).build_plugins()
-    # the token filter is SUT-specific, so never mutate caller-owned instances
-    prepared = []
-    for plugin in plugins:
-        if isinstance(plugin, SpellingMistakesPlugin):
-            plugin = copy.copy(plugin)
-            plugin.token_filter = token_filter
-        prepared.append(plugin)
-    merged = ResilienceProfile(sut.name)
-    for offset, plugin in enumerate(prepared):
-        observer = None
-        if store is not None:
-            key = system_key or sut.name
-            observer = lambda record, key=key, name=plugin.name: store.append(key, name, record)
-        engine = InjectionEngine(
-            sut,
-            plugin,
-            seed=seed + offset,
-            observer=observer,
-            sut_factory=sut_factory,
-            jobs=jobs,
-            executor=executor,
-            block_size=block_size,
-        )
-        merged.extend(engine.run().records)
-    return merged
-
-
-def run_table1(
-    seed: int = 2008,
-    directives_per_section: int = 10,
-    typos_per_directive: int = 10,
-    systems: dict[str, SystemUnderTest | Callable[[], SystemUnderTest]] | None = None,
-    jobs: int = 1,
-    executor: str | None = None,
-    block_size: int | None = None,
-    store: ResultStore | None = None,
-) -> Table1Result:
-    """Run the Table 1 experiment for MySQL, Postgres and Apache.
-
-    The run is wired from :func:`table1_spec`: systems come from the
-    registry, plugins from their ``from_params``.  With a ``store`` the
-    records are persisted as they land (the manifest embeds the serialized
-    spec), so :func:`table1_from_store` can re-render the table later
-    without re-running any injections.
-    """
-    spec = table1_spec(
-        seed=seed, typos_per_directive=typos_per_directive, jobs=jobs, executor=executor
-    )
-    suts = systems if systems is not None else spec.build_systems()
-    if store is not None:
-        write_bench_manifest(
-            store,
-            kind="table1",
-            seed=seed,
-            suts=suts,
-            plugins=[{"name": name, "params": {}} for name in TABLE1_CAMPAIGNS],
-            params={
-                "directives_per_section": directives_per_section,
-                "typos_per_directive": typos_per_directive,
-            },
-            spec=spec if systems is None else None,
-        )
-    profiles = {
-        name: run_table1_for(
-            sut,
-            seed=seed,
-            directives_per_section=directives_per_section,
-            typos_per_directive=typos_per_directive,
-            jobs=jobs,
-            executor=executor,
-            block_size=block_size,
-            store=store,
-            system_key=name,
-            plugins=spec.build_plugins(),
-        )
-        for name, sut in suts.items()
-    }
-    return Table1Result(profiles=profiles, table_text=typo_resilience_table(profiles))
-
-
 def table1_from_store(store: ResultStore) -> Table1Result:
     """Rebuild a :class:`Table1Result` from records on disk.
 
-    Works for stores written by :func:`run_table1` and for campaign-suite
-    stores alike: each system's campaigns are merged into one profile and
-    rendered through the same Table 1 layout.
+    Works for Table 1 stores and for campaign-suite stores alike: each
+    system's campaigns are merged into one profile and rendered through the
+    same Table 1 layout.
     """
     store.require_kind("table1", "suite")
     profiles = store.merged_profiles()

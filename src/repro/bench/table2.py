@@ -1,8 +1,8 @@
 """Table 2 -- resilience to structural errors (configuration variations).
 
-For each system and each variation class of Section 5.3 the runner creates
-``variants_per_class`` semantically-equivalent configuration files and checks
-whether the system accepts all of them.  A class is "Yes" when every variant
+For each system and each variation class of Section 5.3 the experiment
+creates ``variants_per_class`` semantically-equivalent configuration files
+and checks whether the system accepts all of them.  A class is "Yes" when every variant
 starts and passes the functional tests, "No" when at least one is rejected,
 and "n/a" when the class does not apply to the system's format (for example
 section reordering for the flat ``postgresql.conf``).
@@ -11,19 +11,14 @@ section reordering for the flat ``postgresql.conf``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
-from repro.core.engine import InjectionEngine
 from repro.core.profile import ResilienceProfile
 from repro.core.report import classify_structural_support, structural_support_table
 from repro.core.spec import ExecutionSpec, ExperimentSpec, PluginSpec, SystemSpec
 from repro.core.store import ResultStore
-from repro.bench.persist import write_bench_manifest
-from repro.sut.base import SystemUnderTest, split_sut
 
 __all__ = [
     "Table2Result",
-    "run_table2",
     "table2_from_store",
     "table2_spec",
     "VARIATION_LABELS",
@@ -70,12 +65,9 @@ _classify = classify_structural_support
 
 
 def table2_spec(
-    seed: int = 2008,
     variants_per_class: int = 10,
     min_truncation: int = 8,
-    jobs: int = 1,
-    executor: str | None = None,
-    block_size: int | None = None,
+    execution: ExecutionSpec | None = None,
 ) -> ExperimentSpec:
     """The Table 2 experiment as a declarative spec.
 
@@ -101,90 +93,16 @@ def table2_spec(
             )
             for variation_class, label in VARIATION_LABELS.items()
         ),
-        execution=ExecutionSpec(seed=seed, jobs=jobs, executor=executor, block_size=block_size),
-    )
-
-
-def run_table2(
-    seed: int = 2008,
-    variants_per_class: int = 10,
-    systems: dict[str, SystemUnderTest | Callable[[], SystemUnderTest]] | None = None,
-    min_truncation: int = 8,
-    jobs: int = 1,
-    executor: str | None = None,
-    block_size: int | None = None,
-    store: ResultStore | None = None,
-) -> Table2Result:
-    """Run the Table 2 experiment for MySQL, Postgres and Apache.
-
-    The run is wired from :func:`table2_spec`.  With a ``store`` every
-    variant's record is persisted under the variation label as campaign key
-    (the manifest embeds the serialized spec); :func:`table2_from_store`
-    re-renders the support matrix from those records.
-    """
-    spec = table2_spec(
-        seed=seed,
-        variants_per_class=variants_per_class,
-        min_truncation=min_truncation,
-        jobs=jobs,
-        executor=executor,
-        block_size=block_size,
-    )
-    suts = systems if systems is not None else spec.build_systems()
-    if store is not None:
-        write_bench_manifest(
-            store,
-            kind="table2",
-            seed=seed,
-            suts=suts,
-            plugins=[
-                {"name": "structural-variations", "params": {"classes": list(VARIATION_LABELS)}}
-            ],
-            params={
-                "variants_per_class": variants_per_class,
-                "min_truncation": min_truncation,
-            },
-            spec=spec if systems is None else None,
-        )
-    support: dict[str, dict[str, str]] = {}
-    profiles: dict[str, dict[str, ResilienceProfile]] = {}
-    for name, sut in suts.items():
-        sut, sut_factory = split_sut(sut)
-        applicable = APPLICABLE_CLASSES.get(name, tuple(VARIATION_LABELS))
-        support[name] = {}
-        profiles[name] = {}
-        for plugin in spec.build_plugins():
-            variation_class = plugin.classes[0]
-            label = plugin.name
-            if variation_class not in applicable:
-                support[name][label] = "n/a"
-                continue
-            observer = None
-            if store is not None:
-                observer = lambda record, key=name, label=label: store.append(key, label, record)
-            engine = InjectionEngine(
-                sut,
-                plugin,
-                seed=seed,
-                observer=observer,
-                sut_factory=sut_factory,
-                jobs=jobs,
-                executor=executor,
-                block_size=block_size,
-            )
-            profile = engine.run()
-            profiles[name][label] = profile
-            support[name][label] = _classify(profile)
-    return Table2Result(
-        support=support, profiles=profiles, table_text=structural_support_table(support)
+        execution=execution or ExecutionSpec(),
     )
 
 
 def table2_from_store(store: ResultStore) -> Table2Result:
     """Rebuild a :class:`Table2Result` from records on disk.
 
-    Variation classes without stored records classify as "n/a" -- exactly
-    the classes :func:`run_table2` never ran for that system.
+    A variation class outside the system's :data:`APPLICABLE_CLASSES` (or
+    one that stored no records) classifies as "n/a", whatever its records
+    say: the run crosses every system with every class.
     """
     store.require_kind("table2")
     stored = store.load_profiles()
@@ -192,11 +110,14 @@ def table2_from_store(store: ResultStore) -> Table2Result:
     profiles: dict[str, dict[str, ResilienceProfile]] = {}
     for system in store.systems():
         per_label = stored.get(system, {})
+        applicable = APPLICABLE_CLASSES.get(
+            store.system_display_name(system), tuple(VARIATION_LABELS)
+        )
         support[system] = {}
         profiles[system] = {}
-        for label in VARIATION_LABELS.values():
+        for variation_class, label in VARIATION_LABELS.items():
             profile = per_label.get(label)
-            if profile is None:
+            if variation_class not in applicable or profile is None:
                 support[system][label] = "n/a"
                 continue
             profiles[system][label] = profile

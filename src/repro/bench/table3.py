@@ -1,6 +1,6 @@
 """Table 3 -- resilience to semantic (RFC-1912 style) DNS errors.
 
-For BIND and djbdns the runner injects record-level faults through the
+For BIND and djbdns the experiment injects record-level faults through the
 system-independent record view and classifies each fault class:
 
 * ``found``     -- at least one scenario of the class was detected (the
@@ -13,17 +13,14 @@ system-independent record view and classifies each fault class:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
-from repro.core.engine import InjectionEngine
 from repro.core.profile import ResilienceProfile
 from repro.core.report import classify_semantic_behaviour, semantic_behaviour_table
 from repro.core.spec import ExecutionSpec, ExperimentSpec, PluginSpec, SystemSpec
 from repro.core.store import ResultStore
-from repro.bench.persist import write_bench_manifest
-from repro.sut.base import SystemUnderTest, split_sut
 
-__all__ = ["Table3Result", "run_table3", "table3_from_store", "table3_spec", "FAULT_LABELS"]
+__all__ = ["Table3Result", "table3_from_store", "table3_spec", "FAULT_LABELS"]
 
 #: Store campaign key for the one plugin Table 3 runs per system.
 TABLE3_CAMPAIGN = "semantic-dns"
@@ -69,12 +66,9 @@ def _behaviour_matrix(
 
 
 def table3_spec(
-    seed: int = 2008,
     max_scenarios_per_class: int = 3,
     fault_classes: Sequence[str] | None = None,
-    jobs: int = 1,
-    executor: str | None = None,
-    block_size: int | None = None,
+    execution: ExecutionSpec | None = None,
 ) -> ExperimentSpec:
     """The Table 3 experiment as a declarative spec (the DNS semantic sweep)."""
     return ExperimentSpec(
@@ -88,70 +82,7 @@ def table3_spec(
                 },
             ),
         ),
-        execution=ExecutionSpec(seed=seed, jobs=jobs, executor=executor, block_size=block_size),
-    )
-
-
-def run_table3(
-    seed: int = 2008,
-    max_scenarios_per_class: int = 3,
-    systems: dict[str, SystemUnderTest | Callable[[], SystemUnderTest]] | None = None,
-    fault_classes: dict[str, str] | None = None,
-    jobs: int = 1,
-    executor: str | None = None,
-    block_size: int | None = None,
-    store: ResultStore | None = None,
-) -> Table3Result:
-    """Run the Table 3 experiment for BIND and djbdns.
-
-    The run is wired from :func:`table3_spec`.  With a ``store`` the
-    per-system records are persisted under the :data:`TABLE3_CAMPAIGN` key
-    (the manifest embeds the serialized spec); :func:`table3_from_store`
-    re-renders the behaviour matrix from those records.
-    """
-    labels = fault_classes if fault_classes is not None else FAULT_LABELS
-    spec = table3_spec(
-        seed=seed,
-        max_scenarios_per_class=max_scenarios_per_class,
-        fault_classes=list(labels),
-        jobs=jobs,
-        executor=executor,
-        block_size=block_size,
-    )
-    suts = systems if systems is not None else spec.build_systems()
-    if store is not None:
-        write_bench_manifest(
-            store,
-            kind="table3",
-            seed=seed,
-            suts=suts,
-            plugins=[{"name": TABLE3_CAMPAIGN, "params": {"classes": list(labels)}}],
-            params={"max_scenarios_per_class": max_scenarios_per_class},
-            spec=spec if systems is None else None,
-        )
-    profiles: dict[str, ResilienceProfile] = {}
-    for name, sut in suts.items():
-        sut, sut_factory = split_sut(sut)
-        (plugin,) = spec.build_plugins()
-        observer = None
-        if store is not None:
-            observer = lambda record, key=name: store.append(key, TABLE3_CAMPAIGN, record)
-        engine = InjectionEngine(
-            sut,
-            plugin,
-            seed=seed,
-            observer=observer,
-            sut_factory=sut_factory,
-            jobs=jobs,
-            executor=executor,
-            block_size=block_size,
-        )
-        profiles[name] = engine.run()
-    behaviour = _behaviour_matrix(profiles, labels)
-    return Table3Result(
-        behaviour=behaviour,
-        profiles=profiles,
-        table_text=semantic_behaviour_table(behaviour),
+        execution=execution or ExecutionSpec(),
     )
 
 
@@ -160,8 +91,8 @@ def table3_from_store(
 ) -> Table3Result:
     """Rebuild a :class:`Table3Result` from records on disk.
 
-    The stored records carry their fault class in the scenario category, so
-    the matrix is reclassified exactly as a live run classifies it.
+    The stored records carry their fault class in the scenario category,
+    which is what the behaviour matrix is classified by.
     """
     store.require_kind("table3", "suite")
     labels = fault_classes if fault_classes is not None else FAULT_LABELS

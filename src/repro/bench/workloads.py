@@ -1,13 +1,11 @@
-"""Workload builders shared by the experiment runners.
+"""Workload configurations shared by the registry and the tests.
 
-Provides the systems-under-test with the configurations each experiment
-needs, and the "most of the available directives, with default values"
-configurations used by the Section 5.5 comparison benchmark (Figure 3).
-
-Each workload comes in two flavours: ``*_suts()`` returns live instances
-(convenient for serial, single-engine use) and ``*_sut_factories()`` returns
-picklable zero-argument factories -- the form the parallel campaign executor
-needs, since every worker builds its own private SUT.
+Provides the "most of the available directives, with default values"
+configurations used by the Section 5.5 comparison benchmark (Figure 3) --
+registered as the ``mysql-full-directives`` / ``postgres-full-directives``
+systems -- and picklable zero-argument factories for the five simulated
+systems the paper studies.  Which systems each paper artefact runs is part
+of its spec (``table1_spec`` & co.).
 """
 
 from __future__ import annotations
@@ -20,64 +18,12 @@ from repro.sut.mysql.options import MYSQLD_OPTIONS
 from repro.sut.postgres.options import POSTGRES_OPTIONS
 
 __all__ = [
-    "typo_benchmark_suts",
-    "typo_benchmark_sut_factories",
-    "structural_benchmark_suts",
-    "structural_benchmark_sut_factories",
-    "dns_benchmark_suts",
-    "dns_benchmark_sut_factories",
     "full_directive_mysql_config",
     "full_directive_postgres_config",
-    "comparison_suts",
-    "comparison_sut_factories",
     "simulated_sut_factories",
 ]
 
 SUTFactory = Callable[[], SystemUnderTest]
-
-
-def typo_benchmark_sut_factories() -> dict[str, SUTFactory]:
-    """Factories for the three SUTs of the Table 1 experiment.
-
-    MySQL uses the server-group-only option file so that every injected typo
-    targets a directive the server actually parses at startup (see
-    ``DEFAULT_MY_CNF_SERVER_ONLY``); the paper counts 14 directives for
-    MySQL, 8 for Postgres and 98 for Apache.
-    """
-    return {
-        "MySQL": get_system("mysql-server-only"),
-        "Postgres": get_system("postgres"),
-        "Apache": get_system("apache"),
-    }
-
-
-def typo_benchmark_suts() -> dict[str, object]:
-    """The three SUTs of the Table 1 experiment, instantiated."""
-    return {name: factory() for name, factory in typo_benchmark_sut_factories().items()}
-
-
-def structural_benchmark_sut_factories() -> dict[str, SUTFactory]:
-    """Factories for the Table 2 SUTs (full default configurations)."""
-    return {
-        "MySQL": get_system("mysql"),
-        "Postgres": get_system("postgres"),
-        "Apache": get_system("apache"),
-    }
-
-
-def structural_benchmark_suts() -> dict[str, object]:
-    """The three SUTs of the Table 2 experiment (full default configurations)."""
-    return {name: factory() for name, factory in structural_benchmark_sut_factories().items()}
-
-
-def dns_benchmark_sut_factories() -> dict[str, SUTFactory]:
-    """Factories for the two SUTs of the Table 3 experiment."""
-    return {"BIND": get_system("bind"), "djbdns": get_system("djbdns")}
-
-
-def dns_benchmark_suts() -> dict[str, object]:
-    """The two SUTs of the Table 3 experiment."""
-    return {name: factory() for name, factory in dns_benchmark_sut_factories().items()}
 
 
 def simulated_sut_factories() -> dict[str, SUTFactory]:
@@ -114,16 +60,3 @@ def full_directive_postgres_config() -> str:
             value = spec.default
         lines.append(f"{spec.name} = {value}")
     return "\n".join(lines) + "\n"
-
-
-def comparison_sut_factories() -> dict[str, SUTFactory]:
-    """Factories for the Figure 3 comparison SUTs (full-directive files)."""
-    return {
-        "MySQL": get_system("mysql-full-directives"),
-        "Postgresql": get_system("postgres-full-directives"),
-    }
-
-
-def comparison_suts() -> dict[str, object]:
-    """MySQL and Postgres configured with the full-directive files (Figure 3)."""
-    return {name: factory() for name, factory in comparison_sut_factories().items()}

@@ -24,13 +24,14 @@ Sub-commands
     Run the campaign service: an HTTP API + multi-tenant job queue over
     durable result stores (see ``docs/SERVICE.md``).
 ``conferr table1`` / ``table2`` / ``table3`` / ``figure3``
-    Regenerate the paper's evaluation artefacts (``--store`` persists the
-    records; ``--from-store`` re-renders from disk without re-running).
+    Regenerate the paper's evaluation artefacts.  Each builds its spec,
+    runs it like any other spec into a result store (``--store``, or a
+    temporary directory) and prints the ``--from-store`` rendering of that
+    store; ``--from-store`` alone re-renders without re-running.
 ``conferr matrix``
     Render the M-systems x N-plugins resilience matrix -- by default every
     registered plain system (the paper's five plus nginx and sshd) crossed
-    with every cross-system error family.  ``--from-store`` re-renders a
-    stored suite/matrix run byte-identically to the live rendering.
+    with every cross-system error family -- the same way.
 ``conferr report``
     Re-render a saved profile JSON file or a result-store directory.
 ``conferr store verify|repair|diff``
@@ -40,11 +41,14 @@ Sub-commands
 ``conferr list``
     Show the available systems, plugins, dialects and keyboard layouts.
 
-Campaign-running sub-commands accept fault-tolerance flags
-(``--timeout-seconds``, ``--max-retries``, ``--retry-backoff-seconds``);
-see ``docs/ROBUSTNESS.md``.  SIGINT/SIGTERM shut a run down gracefully:
-store append handles are flushed and closed, and the resumable-store hint
-is printed instead of a traceback (exit status 130).
+Campaign-running sub-commands (the artefact commands included) accept
+the worker and fault-tolerance flags (``--jobs``, ``--executor``,
+``--block-size``, ``--no-incremental``, ``--timeout-seconds``,
+``--max-retries``, ``--retry-backoff-seconds``; see
+``docs/ROBUSTNESS.md``), and every one of them reaches the engine.
+SIGINT/SIGTERM shut a run down gracefully: store append handles are
+flushed and closed, and the resumable-store hint is printed instead of a
+traceback (exit status 130).
 
 ``run`` and ``suite`` also accept ``--dump-spec``: print the equivalent
 spec file (TOML) instead of running, so any flag invocation can be turned
@@ -54,6 +58,7 @@ into a reusable, version-controllable experiment description.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import signal
@@ -413,11 +418,11 @@ def build_parser() -> argparse.ArgumentParser:
         )
         _add_executor_arguments(bench)
         if name == "figure3":
-            bench.add_argument("--experiments-per-directive", type=int, default=20)
+            bench.add_argument("--experiments-per-directive", type=_positive_int, default=20)
         if name == "table1":
-            bench.add_argument("--typos-per-directive", type=int, default=10)
+            bench.add_argument("--typos-per-directive", type=_positive_int, default=10)
         if name == "table2":
-            bench.add_argument("--variants-per-class", type=int, default=10)
+            bench.add_argument("--variants-per-class", type=_positive_int, default=10)
 
     matrix = sub.add_parser(
         "matrix", help="render the M-systems x N-plugins resilience matrix"
@@ -530,9 +535,10 @@ def _execution_from_args(args: argparse.Namespace) -> ExecutionSpec:
         executor=args.executor,
         block_size=args.block_size,
         incremental=getattr(args, "incremental", True),
-        mutations_per_token=args.mutations_per_token,
-        max_scenarios_per_class=args.max_scenarios_per_class,
-        layout=args.layout,
+        # the artefact commands fix these per plugin in their spec builders
+        mutations_per_token=getattr(args, "mutations_per_token", None),
+        max_scenarios_per_class=getattr(args, "max_scenarios_per_class", None),
+        layout=getattr(args, "layout", None),
         timeout_seconds=args.timeout_seconds,
         max_retries=args.max_retries,
         retry_backoff_seconds=args.retry_backoff_seconds,
@@ -663,8 +669,6 @@ def _command_suite(args: argparse.Namespace) -> int:
 
 
 def _command_run_spec(args: argparse.Namespace) -> int:
-    import dataclasses
-
     # no explicit validate(): CampaignSuite.from_spec validates before building
     spec = ExperimentSpec.from_file(args.spec_file)
     if not args.incremental:
@@ -822,133 +826,54 @@ def _command_list(_args: argparse.Namespace) -> int:
     return 0
 
 
+#: Flags of each artefact command passed verbatim to its spec builder.
+_ARTIFACT_KNOBS = {
+    "table1": ("typos_per_directive",),
+    "table2": ("variants_per_class",),
+    "table3": (),
+    "figure3": ("experiments_per_directive",),
+    "matrix": ("systems", "plugins"),
+}
 
-def _owned_store(path: str | None):
-    """Context manager for a --store argument: a ResultStore whose cached
-    append handles are closed when the command finishes, or None.
 
-    The store is registered with :data:`_ACTIVE_STORES` while open so an
-    interrupt still flushes it."""
-    from contextlib import contextmanager, nullcontext
+def _command_artifact(args: argparse.Namespace) -> int:
+    """table1/table2/table3/figure3/matrix: run the artefact's spec, render its store.
 
-    if not path:
-        return nullcontext()
+    The live render is the ``--from-store`` render of the run's own store
+    (a temporary directory unless ``--store`` names one), so the two are
+    byte-identical by construction.
+    """
+    from repro.bench.artifacts import ARTIFACTS, artifact_text, render_artifact, run_artifact
 
-    @contextmanager
-    def tracked():
-        store = ResultStore(path)
+    resume = getattr(args, "resume", False)
+    if resume and not args.store:
+        raise SpecError(
+            "--resume needs --store (continue an interrupted run); "
+            "--from-store only re-renders the records already on disk"
+        )
+    if args.from_store:
+        print(render_artifact(ResultStore(args.from_store), args.command), end="")
+        return 0
+    build_spec, _render = ARTIFACTS[args.command]
+    knobs = {knob: getattr(args, knob) for knob in _ARTIFACT_KNOBS[args.command]}
+    spec = build_spec(**knobs, execution=_execution_from_args(args))
+    # a temporary store (no --store) goes with its directory: nothing to resume
+    store = ResultStore(args.store) if args.store else None
+    if store is not None:
         _ACTIVE_STORES.append(store)
-        with store:
-            yield store
-        # only on success -- an interrupted run keeps the store listed so
-        # the KeyboardInterrupt handler in main() can name it in its hint
+    progress = _progress_observer()
+    try:
+        result = run_artifact(
+            args.command, spec, store, resume=resume, record_observer=progress
+        )
+    finally:
+        if progress is not None:
+            print(file=sys.stderr)  # move off the \r progress line
+    # only on success, as in _run_spec: an interrupted run keeps its store
+    # listed for the resume hint
+    if store is not None:
         _ACTIVE_STORES.remove(store)
-
-    return tracked()
-
-
-def _command_table1(args: argparse.Namespace) -> int:
-    from repro.bench import run_table1, table1_from_store
-
-    if args.from_store:
-        result = table1_from_store(ResultStore(args.from_store))
-    else:
-        with _owned_store(args.store) as store:
-            result = run_table1(
-                seed=args.seed,
-                typos_per_directive=args.typos_per_directive,
-                jobs=args.jobs,
-                executor=args.executor,
-                block_size=args.block_size,
-                store=store,
-            )
-    print(result.table_text)
-    return 0
-
-
-def _command_table2(args: argparse.Namespace) -> int:
-    from repro.bench import run_table2, table2_from_store
-
-    if args.from_store:
-        result = table2_from_store(ResultStore(args.from_store))
-    else:
-        with _owned_store(args.store) as store:
-            result = run_table2(
-                seed=args.seed,
-                variants_per_class=args.variants_per_class,
-                jobs=args.jobs,
-                executor=args.executor,
-                block_size=args.block_size,
-                store=store,
-            )
-    print(result.table_text)
-    return 0
-
-
-def _command_table3(args: argparse.Namespace) -> int:
-    from repro.bench import run_table3, table3_from_store
-
-    if args.from_store:
-        result = table3_from_store(ResultStore(args.from_store))
-    else:
-        with _owned_store(args.store) as store:
-            result = run_table3(
-                seed=args.seed,
-                jobs=args.jobs,
-                executor=args.executor,
-                block_size=args.block_size,
-                store=store,
-            )
-    print(result.table_text)
-    return 0
-
-
-def _command_matrix(args: argparse.Namespace) -> int:
-    from repro.bench.matrix import matrix_from_store, run_matrix
-
-    if args.from_store:
-        if args.resume:
-            raise SpecError(
-                "--resume needs --store (continue an interrupted run); "
-                "--from-store only re-renders the records already on disk"
-            )
-        result = matrix_from_store(ResultStore(args.from_store))
-    else:
-        with _owned_store(args.store) as store:
-            result = run_matrix(
-                systems=args.systems,
-                plugins=args.plugins,
-                seed=args.seed,
-                jobs=args.jobs,
-                executor=args.executor,
-                block_size=args.block_size,
-                mutations_per_token=args.mutations_per_token,
-                max_scenarios_per_class=args.max_scenarios_per_class,
-                store=store,
-                resume=args.resume,
-            )
-    print(result.table_text)
-    return 0
-
-
-def _command_figure3(args: argparse.Namespace) -> int:
-    from repro.bench import figure3_from_store, run_figure3
-
-    if args.from_store:
-        result = figure3_from_store(ResultStore(args.from_store))
-    else:
-        with _owned_store(args.store) as store:
-            result = run_figure3(
-                seed=args.seed,
-                experiments_per_directive=args.experiments_per_directive,
-                jobs=args.jobs,
-                executor=args.executor,
-                block_size=args.block_size,
-                store=store,
-            )
-    print(result.chart_text)
-    print()
-    print(json.dumps(result.distributions, indent=2))
+    print(artifact_text(args.command, result), end="")
     return 0
 
 
@@ -985,11 +910,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         "list": _command_list,
         "report": _command_report,
         "store": _command_store,
-        "table1": _command_table1,
-        "table2": _command_table2,
-        "table3": _command_table3,
-        "figure3": _command_figure3,
-        "matrix": _command_matrix,
+        "table1": _command_artifact,
+        "table2": _command_artifact,
+        "table3": _command_artifact,
+        "figure3": _command_artifact,
+        "matrix": _command_artifact,
         "serve": _command_serve,
     }
     del _ACTIVE_STORES[:]

@@ -559,11 +559,11 @@ class ExperimentSpec:
                     "differs in [A-Za-z0-9._-] characters"
                 )
             seen_files[filename] = index
-            # mirror CampaignSuite.system_names(): two systems whose SUTs
-            # share a display name would merge into one rendered table
-            # column, so validate must refuse what run-spec would refuse
+            # mirror CampaignSuite.system_names(): two systems sharing a
+            # display name would merge into one rendered table column, so
+            # validate must refuse what run-spec would refuse
             system.validate_chaos(f"systems[{index}].chaos")
-            display = split_sut(factory)[0].name
+            display = system.label or split_sut(factory)[0].name
             if display in seen_displays:
                 other = self.systems[seen_displays[display]].name
                 raise SpecError(

@@ -281,15 +281,6 @@ class ResultStore:
         """Whether this store has been initialised (has a manifest)."""
         return self.manifest_path.is_file()
 
-    def ensure_fresh(self) -> "ResultStore":
-        """Refuse to write a new run over an existing store; returns self."""
-        if self.exists():
-            raise StoreError(
-                f"result store {self.root} already exists; choose a fresh "
-                "directory (resume it, or re-render it with its from-store reader)"
-            )
-        return self
-
     def write_manifest(self, manifest: Mapping[str, Any]) -> None:
         """Initialise the store directory and persist the run manifest."""
         self._acquire_writer_lock()

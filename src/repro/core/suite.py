@@ -153,6 +153,11 @@ class CampaignSuite:
         front of the scenario sequence completes).  Fires after the store
         append, so a progress line never reports a record that could still
         be lost.
+    kind:
+        Run kind recorded in the manifest: ``"suite"`` for general suites,
+        the artefact name (``"table1"``...) for a paper artefact's run.  The
+        ``--from-store`` readers check it, and a resume refuses a store of
+        another kind.
     cancel_check:
         Optional zero-argument callable polled before every cell and before
         every record append; returning True raises
@@ -181,6 +186,7 @@ class CampaignSuite:
         spec: ExperimentSpec | None = None,
         record_observer: Callable[[str, str, InjectionRecord], None] | None = None,
         cancel_check: Callable[[], bool] | None = None,
+        kind: str = "suite",
     ):
         if not systems:
             raise CampaignError("a suite needs at least one system")
@@ -206,6 +212,7 @@ class CampaignSuite:
         self.spec = spec
         self.record_observer = record_observer
         self.cancel_check = cancel_check
+        self.kind = kind
 
     @classmethod
     def from_spec(
@@ -213,6 +220,7 @@ class CampaignSuite:
         spec: ExperimentSpec,
         record_observer: Callable[[str, str, InjectionRecord], None] | None = None,
         cancel_check: Callable[[], bool] | None = None,
+        kind: str = "suite",
     ) -> "CampaignSuite":
         """Build the suite a declarative :class:`ExperimentSpec` describes.
 
@@ -234,17 +242,23 @@ class CampaignSuite:
             spec=spec,
             record_observer=record_observer,
             cancel_check=cancel_check,
+            kind=kind,
         )
 
     # ----------------------------------------------------------------- manifest
     def system_names(self) -> dict[str, str]:
-        """Display name of every system, by key (instantiates each factory once).
+        """Display name of every system, by key.
 
-        Duplicate display names are refused: the rendered tables are keyed
-        by display name, so two systems sharing one would silently collapse
-        into a single column.
+        A system the spec labels is shown under its label; any other under
+        its SUT's name (instantiating its factory once).  Duplicate display
+        names are refused: the rendered tables are keyed by display name, so
+        two systems sharing one would silently collapse into a single column.
         """
-        names = {key: split_sut(factory)[0].name for key, factory in self.systems.items()}
+        labels = {system.key: system.label for system in self.spec.systems} if self.spec else {}
+        names = {
+            key: labels.get(key) or split_sut(factory)[0].name
+            for key, factory in self.systems.items()
+        }
         seen: dict[str, str] = {}
         for key, name in names.items():
             if name in seen:
@@ -258,7 +272,7 @@ class CampaignSuite:
     def manifest(self) -> dict[str, Any]:
         """The run manifest persisted alongside the records."""
         manifest: dict[str, Any] = {
-            "kind": "suite",
+            "kind": self.kind,
             "seed": self.seed,
             "systems": self.system_names(),
             "plugins": [

@@ -215,21 +215,30 @@ class SpellingMistakesPlugin(ErrorGeneratorPlugin):
     mutations_per_token:
         When set, at most this many randomly chosen typos are produced per
         target token; when None, every possible typo becomes a scenario.
-    token_filter:
-        Optional predicate on token nodes for finer targeting (e.g. only
-        directives of a given section).
+    directives_per_section:
+        When set, only up to this many randomly drawn directives per section
+        (or file root) are targeted, as in the paper's Table 1 ("up to ten
+        randomly selected directives" per section).  One draw per campaign
+        covers every targeted token type, so a campaign over directive names
+        and values misspells the names and the values of the same directives.
     """
 
     name = "spelling"
-    param_names = ("token_types", "models", "mutations_per_token", "layout")
+    param_names = (
+        "token_types",
+        "models",
+        "mutations_per_token",
+        "layout",
+        "directives_per_section",
+    )
 
     def __init__(
         self,
         token_types: Sequence[str] = (TOKEN_DIRECTIVE_NAME, TOKEN_DIRECTIVE_VALUE),
         models: Sequence[TypoModel] | None = None,
         mutations_per_token: int | None = None,
-        token_filter=None,
         layout_name: str | None = None,
+        directives_per_section: int | None = None,
     ):
         if layout_name is not None:
             from repro.keyboard.layouts import get_layout
@@ -243,7 +252,7 @@ class SpellingMistakesPlugin(ErrorGeneratorPlugin):
         if not self.models:
             raise PluginError("SpellingMistakesPlugin requires at least one typo model")
         self.mutations_per_token = mutations_per_token
-        self.token_filter = token_filter
+        self.directives_per_section = directives_per_section
         self._view = TokenView()
 
     @property
@@ -251,12 +260,15 @@ class SpellingMistakesPlugin(ErrorGeneratorPlugin):
         return self._view
 
     def manifest_params(self) -> dict:
-        return {
+        params = {
             "token_types": list(self.token_types),
             "models": [model.name for model in self.models],
             "mutations_per_token": self.mutations_per_token,
             "layout": self.layout_name,
         }
+        if self.directives_per_section is not None:
+            params["directives_per_section"] = self.directives_per_section
+        return params
 
     @classmethod
     def from_params(cls, params: Mapping[str, Any]) -> "SpellingMistakesPlugin":
@@ -299,11 +311,37 @@ class SpellingMistakesPlugin(ErrorGeneratorPlugin):
                 "mutations_per_token", params.get("mutations_per_token")
             ),
             layout_name=layout,
+            directives_per_section=positive_int_param(
+                "directives_per_section", params.get("directives_per_section")
+            ),
         )
 
     # ------------------------------------------------------------------ faults
-    def target_tokens(self, view_set: ConfigSet) -> list[ConfigNode]:
-        """Token nodes eligible for typo injection."""
+    def _selected_directives(
+        self, view_set: ConfigSet, rng: random.Random
+    ) -> set[tuple[str, tuple[int, ...]]]:
+        """``(tree, source path)`` of up to ``directives_per_section`` random
+        directives of each section (or file root)."""
+        per_section: dict[tuple[str, tuple[int, ...]], list[tuple[str, tuple[int, ...]]]] = {}
+        for tree in view_set:
+            for line in tree.root.children_of_kind("line"):
+                if line.get("source_kind") != "directive":
+                    continue
+                path = tuple(line.get("source_path", ()))
+                per_section.setdefault((tree.name, path[:-1]), []).append((tree.name, path))
+        selected: set[tuple[str, tuple[int, ...]]] = set()
+        for members in per_section.values():
+            if len(members) > self.directives_per_section:
+                members = rng.sample(members, self.directives_per_section)
+            selected.update(members)
+        return selected
+
+    def target_tokens(self, view_set: ConfigSet, rng: random.Random) -> list[ConfigNode]:
+        """Token nodes eligible for typo injection (``rng`` draws the
+        ``directives_per_section`` subset)."""
+        selected = None
+        if self.directives_per_section is not None:
+            selected = self._selected_directives(view_set, rng)
         tokens: list[ConfigNode] = []
         for tree in view_set:
             for node in tree.walk():
@@ -313,7 +351,9 @@ class SpellingMistakesPlugin(ErrorGeneratorPlugin):
                     continue
                 if not (node.value or "").strip():
                     continue
-                if self.token_filter is not None and not self.token_filter(node):
+                if selected is not None and (
+                    node.get("source_tree"), tuple(node.get("source_path", ()))
+                ) not in selected:
                     continue
                 tokens.append(node)
         return tokens
@@ -331,7 +371,7 @@ class SpellingMistakesPlugin(ErrorGeneratorPlugin):
         scenarios: list[FaultScenario] = []
         ordinal = 0
         addresses = AddressIndex(view_set)
-        for token in self.target_tokens(view_set):
+        for token in self.target_tokens(view_set, rng):
             candidates = self.mutations_for_token(token)
             if not candidates:
                 continue

@@ -6,9 +6,9 @@ it loads the data directory into a :class:`~repro.service.jobs.JobRegistry`
 :class:`~repro.service.scheduler.Scheduler` over it, and exposes the
 submit/poll/cancel/render operations the HTTP layer maps routes onto.
 
-Artifact rendering goes through *exactly* the ``--from-store`` code paths
-the CLI uses (``table1_from_store`` & co., :func:`render_store_report`),
-so a table fetched over HTTP is byte-identical to the local
+Artifact rendering goes through *exactly* the function the CLI prints
+with (:func:`~repro.bench.artifacts.render_artifact`, over
+``table1_from_store`` & co.), so a table fetched over HTTP is byte-identical to the local
 ``conferr table1 --from-store <job-store>`` render -- the acceptance
 criterion of the service, and the reason results need no new code to be
 trusted.  Renders read the job's store concurrently with the appending
@@ -18,10 +18,10 @@ tail) makes that safe mid-run.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any
 
+from repro.bench.artifacts import ARTIFACT_NAMES, render_artifact
 from repro.core.spec import ExperimentSpec, validation_error_entry, validation_report
 from repro.core.store import ResultStore
 from repro.errors import ServiceError, SpecError
@@ -29,47 +29,6 @@ from repro.service.jobs import Job, JobRegistry
 from repro.service.scheduler import Scheduler
 
 __all__ = ["ARTIFACT_NAMES", "CampaignService", "render_artifact", "SpecRejected"]
-
-#: Renderable artifacts of a job's result store, named after the CLI
-#: sub-commands that produce the identical bytes locally.
-ARTIFACT_NAMES = ("table1", "table2", "table3", "figure3", "matrix", "report")
-
-
-def render_artifact(store: ResultStore, name: str) -> str:
-    """Render one artifact from a result store, CLI-byte-identical.
-
-    Raises :class:`~repro.errors.StoreError` when the store's run kind
-    cannot serve the artifact (e.g. ``table2`` from a suite store) and
-    :class:`ServiceError` for an unknown artifact name.
-    """
-    if name == "table1":
-        from repro.bench import table1_from_store
-
-        return table1_from_store(store).table_text + "\n"
-    if name == "table2":
-        from repro.bench import table2_from_store
-
-        return table2_from_store(store).table_text + "\n"
-    if name == "table3":
-        from repro.bench import table3_from_store
-
-        return table3_from_store(store).table_text + "\n"
-    if name == "figure3":
-        from repro.bench import figure3_from_store
-
-        result = figure3_from_store(store)
-        return f"{result.chart_text}\n\n{json.dumps(result.distributions, indent=2)}\n"
-    if name == "matrix":
-        from repro.bench import matrix_from_store
-
-        return matrix_from_store(store).table_text + "\n"
-    if name == "report":
-        from repro.core.report import render_store_report
-
-        return render_store_report(store) + "\n"
-    raise ServiceError(
-        f"unknown artifact {name!r}; available: {', '.join(ARTIFACT_NAMES)}"
-    )
 
 
 class SpecRejected(ServiceError):

@@ -1,34 +1,40 @@
 """Tests for the experiment runners: they must reproduce the paper's qualitative results.
 
-These are scaled-down runs of the same code paths the ``benchmarks/`` suite
-uses, asserting the *shape* of each result (who wins, which cells say what)
+These are scaled-down runs of the same artefact specs the ``benchmarks/``
+suite runs through :func:`~repro.bench.run_artifact`, asserting the *shape* of each result (who wins, which cells say what)
 rather than exact counts.
 """
 
 import pytest
 
-from repro.bench import run_figure3, run_table1, run_table2, run_table3, time_single_injection
+from repro.bench import (
+    figure3_spec,
+    run_artifact,
+    table1_spec,
+    table2_spec,
+    table3_spec,
+    time_single_injection,
+)
 from repro.bench.table2 import APPLICABLE_CLASSES, VARIATION_LABELS
 from repro.bench.table3 import FAULT_LABELS
 from repro.bench.timing import single_injection_callable
-from repro.bench.workloads import (
-    comparison_suts,
-    dns_benchmark_suts,
-    full_directive_mysql_config,
-    full_directive_postgres_config,
-    structural_benchmark_suts,
-    typo_benchmark_suts,
-)
+from repro.bench.workloads import full_directive_mysql_config, full_directive_postgres_config
 from repro.core.profile import InjectionOutcome
+from repro.core.spec import ExecutionSpec
 from repro.sut.mysql import SimulatedMySQL
 from repro.sut.postgres import SimulatedPostgres
 
 
+def system_keys(spec) -> set[str]:
+    return {system.key for system in spec.systems}
+
+
 class TestWorkloads:
-    def test_typo_suts_cover_three_systems(self):
-        assert set(typo_benchmark_suts()) == {"MySQL", "Postgres", "Apache"}
-        assert set(structural_benchmark_suts()) == {"MySQL", "Postgres", "Apache"}
-        assert set(dns_benchmark_suts()) == {"BIND", "djbdns"}
+    def test_artifact_specs_cover_the_paper_systems(self):
+        assert system_keys(table1_spec()) == {"MySQL", "Postgres", "Apache"}
+        assert system_keys(table2_spec()) == {"MySQL", "Postgres", "Apache"}
+        assert system_keys(table3_spec()) == {"BIND", "djbdns"}
+        assert system_keys(figure3_spec()) == {"MySQL", "Postgresql"}
 
     def test_full_directive_configs_are_healthy_baselines(self):
         mysql = SimulatedMySQL(default_config=full_directive_mysql_config())
@@ -41,14 +47,14 @@ class TestWorkloads:
         assert "fsync" not in full_directive_postgres_config()
         assert "skip-external-locking" not in full_directive_mysql_config()
 
-    def test_comparison_suts(self):
-        assert set(comparison_suts()) == {"MySQL", "Postgresql"}
-
 
 class TestTable1:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_table1(seed=42, typos_per_directive=3, directives_per_section=5)
+        spec = table1_spec(
+            typos_per_directive=3, directives_per_section=5, execution=ExecutionSpec(seed=42)
+        )
+        return run_artifact("table1", spec)
 
     def test_all_three_systems_present(self, result):
         assert set(result.profiles) == {"MySQL", "Postgres", "Apache"}
@@ -110,7 +116,8 @@ class TestTable1:
 class TestTable2:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_table2(seed=42, variants_per_class=5)
+        spec = table2_spec(variants_per_class=5, execution=ExecutionSpec(seed=42))
+        return run_artifact("table2", spec)
 
     def test_matches_paper_support_matrix(self, result):
         # Paper Table 2, cell by cell.
@@ -155,7 +162,8 @@ class TestTable2:
 class TestTable3:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_table3(seed=42, max_scenarios_per_class=2)
+        spec = table3_spec(max_scenarios_per_class=2, execution=ExecutionSpec(seed=42))
+        return run_artifact("table3", spec)
 
     def test_matches_paper_behaviour_matrix(self, result):
         assert result.behaviour_of("Missing PTR", "BIND") == "not found"
@@ -182,7 +190,8 @@ class TestTable3:
 class TestFigure3:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_figure3(seed=42, experiments_per_directive=8)
+        spec = figure3_spec(experiments_per_directive=8, execution=ExecutionSpec(seed=42))
+        return run_artifact("figure3", spec)
 
     def test_distributions_are_probability_vectors(self, result):
         for distribution in result.distributions.values():

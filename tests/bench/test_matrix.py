@@ -1,19 +1,24 @@
-"""Tests for the M-systems x N-plugins resilience matrix driver."""
+"""Tests for the M-systems x N-plugins resilience matrix."""
 
 import pytest
 
-from repro.bench.matrix import MATRIX_PLUGINS, MATRIX_SYSTEMS, matrix_from_store, matrix_spec, run_matrix
+from repro.bench import run_artifact
+from repro.bench.matrix import MATRIX_PLUGINS, MATRIX_SYSTEMS, matrix_from_store, matrix_spec
 from repro.core.report import resilience_matrix_table
 from repro.core.profile import ResilienceProfile, InjectionOutcome, InjectionRecord
+from repro.core.spec import ExecutionSpec
 from repro.core.store import ResultStore
 from repro.errors import StoreError
 
-SMALL = dict(
-    systems=["nginx", "sshd"],
-    plugins=["omission", "spelling"],
-    max_scenarios_per_class=4,
-    seed=2008,
-)
+
+def small_spec(**execution):
+    return matrix_spec(
+        systems=["nginx", "sshd"],
+        plugins=["omission", "spelling"],
+        execution=ExecutionSpec(
+            seed=2008, mutations_per_token=1, max_scenarios_per_class=4, **execution
+        ),
+    )
 
 
 def _record(scenario_id: str, outcome: InjectionOutcome) -> InjectionRecord:
@@ -54,19 +59,19 @@ class TestDefaults:
         assert "omission" in MATRIX_PLUGINS
 
     def test_matrix_spec_validates(self):
-        matrix_spec(**{k: v for k, v in SMALL.items() if k != "max_scenarios_per_class"}).validate()
+        small_spec().validate()
 
 
 class TestLiveVsStore:
     @pytest.fixture(scope="class")
     def stored_run(self, tmp_path_factory):
         store = ResultStore(tmp_path_factory.mktemp("matrix-store"))
-        result = run_matrix(store=store, **SMALL)
+        result = run_artifact("matrix", small_spec(), store)
         return result, store
 
     def test_live_and_store_renders_are_byte_identical(self, stored_run):
         result, store = stored_run
-        assert matrix_from_store(store).table_text == result.table_text
+        assert matrix_from_store(ResultStore(store.root)).table_text == result.table_text
 
     def test_matrix_lists_every_requested_cell(self, stored_run):
         result, _store = stored_run
@@ -86,10 +91,8 @@ class TestLiveVsStore:
         # regression: campaigns with zero records used to be missing from
         # store-backed profiles, so .cell() raised KeyError on "n/a" cells
         store = ResultStore(tmp_path / "na-cells")
-        live = run_matrix(
-            systems=["bind"], plugins=["omission", "semantic-constraints"],
-            seed=2008, store=store,
-        )
+        spec = matrix_spec(systems=["bind"], plugins=["omission", "semantic-constraints"])
+        live = run_artifact("matrix", spec, store)
         reloaded = matrix_from_store(store)
         empty = reloaded.cell("BIND", "semantic-constraints")
         assert len(empty) == 0
@@ -104,6 +107,6 @@ class TestLiveVsStore:
 
 class TestExecutorInvariance:
     def test_matrix_is_executor_invariant(self):
-        serial = run_matrix(**SMALL)
-        threaded = run_matrix(jobs=4, executor="thread", **SMALL)
+        serial = run_artifact("matrix", small_spec())
+        threaded = run_artifact("matrix", small_spec(jobs=4, executor="thread"))
         assert threaded.table_text == serial.table_text

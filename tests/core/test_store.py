@@ -72,13 +72,6 @@ class TestManifest:
         with pytest.raises(StoreError, match="plugins"):
             store.check_compatible(changed)
 
-    def test_ensure_fresh_refuses_existing_store(self, tmp_path):
-        store = ResultStore(tmp_path)
-        assert store.ensure_fresh() is store  # fine before the manifest exists
-        store.write_manifest(MANIFEST)
-        with pytest.raises(StoreError, match="already exists"):
-            store.ensure_fresh()
-
     def test_require_kind_accepts_listed_kinds_only(self, tmp_path):
         store = ResultStore(tmp_path)
         store.write_manifest(MANIFEST)  # kind: suite

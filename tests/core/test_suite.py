@@ -130,6 +130,25 @@ class TestRunWithStore:
         result = small_suite().run(store=store)
         assert store_typo_table(store) == result.table1()
 
+    def test_spec_label_is_the_display_name(self, tmp_path):
+        # the SystemSpec docstring's promise: a label names the table column
+        from repro.bench import matrix_from_store, table1_from_store
+        from repro.core.spec import ExecutionSpec, ExperimentSpec, PluginSpec, SystemSpec
+
+        spec = ExperimentSpec(
+            systems=(SystemSpec("postgres", label="PG"), SystemSpec("mysql")),
+            plugins=(PluginSpec("structural"),),
+            execution=ExecutionSpec(seed=11, max_scenarios_per_class=2),
+        )
+        store = ResultStore(tmp_path / "store")
+        result = CampaignSuite.from_spec(spec).run(store=store)
+        for live, stored in (
+            (result.table1(), table1_from_store(store).table_text),
+            (result.matrix(), matrix_from_store(store).table_text),
+        ):
+            assert "PG" in live and "MySQL" in live and "Postgres" not in live
+            assert stored == live
+
 
 class TestResume:
     def test_completed_suite_resumes_with_zero_replays(self, tmp_path):

@@ -168,14 +168,35 @@ class TestSpellingPlugin:
             per_token[key] = per_token.get(key, 0) + 1
         assert all(count == 1 for count in per_token.values())
 
-    def test_token_filter_restricts_targets(self, config_set):
-        plugin = SpellingMistakesPlugin(
-            mutations_per_token=1,
-            token_filter=lambda token: token.get("owner_name") == "port",
+    def test_directives_per_section_targets_names_and_values_of_one_draw(self):
+        options = "".join(f"opt_{i} = value{i}\n" for i in range(6))
+        text = f"[mysqld]\n{options}[client]\nport = 1\n"
+        config_set = ConfigSet([get_dialect("ini").parse(text, "my.cnf")])
+        plugin = SpellingMistakesPlugin.from_params(
+            {"mutations_per_token": 1, "directives_per_section": 2}
         )
         view_set = plugin.view.transform(config_set)
-        scenarios = plugin.generate(view_set, random.Random(0))
-        assert scenarios and all(s.metadata["directive"] == "port" for s in scenarios)
+
+        def targeted(seed: int) -> dict[str, set[str]]:
+            by_field: dict[str, set[str]] = {}
+            for scenario in plugin.generate(view_set, random.Random(seed)):
+                by_field.setdefault(scenario.metadata["field"], set()).add(
+                    scenario.metadata["directive"]
+                )
+            return by_field
+
+        draws = [targeted(seed) for seed in range(8)]
+        for by_field in draws:
+            # two of [mysqld]'s six directives, plus [client]'s only one
+            assert len(by_field["name"]) == 3 and "port" in by_field["name"]
+            assert by_field["value"] == by_field["name"]
+        assert targeted(0) == draws[0]
+        assert len({frozenset(by_field["name"]) for by_field in draws}) > 1
+
+    def test_directives_per_section_round_trips_through_params(self):
+        plugin = SpellingMistakesPlugin.from_params({"directives_per_section": 3})
+        assert plugin.manifest_params()["directives_per_section"] == 3
+        assert "directives_per_section" not in SpellingMistakesPlugin().manifest_params()
 
     def test_generation_is_deterministic_per_seed(self, config_set):
         plugin = SpellingMistakesPlugin(mutations_per_token=2)

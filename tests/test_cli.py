@@ -42,12 +42,21 @@ class TestParser:
             build_parser().parse_args(["run", "--system", "mysql", "--executor", "gpu"])
 
     @pytest.mark.parametrize("value", ["0", "-1", "-10"])
-    def test_mutations_per_token_must_be_positive(self, value):
-        # regression: 0 used to crash rng.sample (or silently generate nothing)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--system", "mysql", "--mutations-per-token"],
+            ["table1", "--typos-per-directive"],
+            ["table2", "--variants-per-class"],
+            ["figure3", "--experiments-per-directive"],
+        ],
+    )
+    def test_count_flags_must_be_positive(self, argv, value, capsys):
+        # regression: 0 used to crash rng.sample (or silently generate
+        # nothing), or fail deep in a plugin naming a param nobody typed
         with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["run", "--system", "mysql", "--mutations-per-token", value]
-            )
+            build_parser().parse_args(argv + [value])
+        assert f"argument {argv[-1]}: must be a positive integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_max_scenarios_per_class_must_be_positive(self, value):
@@ -467,6 +476,68 @@ class TestStoreBackedTables:
         capsys.readouterr()
         assert main(["table1", "--from-store", store]) == 0
         assert "Postgres" in capsys.readouterr().out
+
+
+#: One small run of every artefact command.
+ARTIFACT_ARGV = {
+    "table1": ["table1", "--typos-per-directive", "1"],
+    "table2": ["table2", "--variants-per-class", "1"],
+    "table3": ["table3"],
+    "figure3": ["figure3", "--experiments-per-directive", "1"],
+    "matrix": [
+        "matrix", "--systems", "nginx,mysql", "--plugins", "omission",
+        "--max-scenarios-per-class", "2",
+    ],
+}
+
+
+class TestArtifactExecutionFlags:
+    @pytest.mark.parametrize(
+        "flag, field, value",
+        [
+            (["--jobs", "2"], "jobs", 2),
+            (["--executor", "thread"], "executor", "thread"),
+            (["--block-size", "3"], "block_size", 3),
+            (["--no-incremental"], "incremental", False),
+            (["--timeout-seconds", "30"], "timeout_seconds", 30.0),
+            (["--max-retries", "1"], "max_retries", 1),
+            (["--retry-backoff-seconds", "0.5"], "retry_backoff_seconds", 0.5),
+        ],
+    )
+    @pytest.mark.parametrize("command", sorted(ARTIFACT_ARGV))
+    def test_flag_reaches_the_engine(self, command, flag, field, value, capsys, monkeypatch):
+        from repro.core.suite import CampaignSuite
+        from repro.sut.incremental import INCREMENTAL_STATS
+
+        suites = []
+        from_spec = CampaignSuite.from_spec.__func__
+
+        def spy(cls, spec, *args, **kwargs):
+            suites.append(from_spec(cls, spec, *args, **kwargs))
+            return suites[-1]
+
+        monkeypatch.setattr(CampaignSuite, "from_spec", classmethod(spy))
+        INCREMENTAL_STATS.reset()
+        assert main(ARTIFACT_ARGV[command] + flag) == 0
+        (suite,) = suites
+        assert getattr(suite.spec.execution, field) == value
+        if field in ("timeout_seconds", "max_retries", "retry_backoff_seconds"):
+            assert getattr(suite.policy, field) == value
+        else:
+            assert getattr(suite, field) == value
+        if field == "incremental":
+            assert INCREMENTAL_STATS.attempts == INCREMENTAL_STATS.delta_starts == 0
+
+    def test_table1_is_executor_invariant(self, capsys, tmp_path):
+        # Table 1's directive selection is a spelling param, not a closure,
+        # so its campaigns pickle into worker processes
+        from repro.core.store import ResultStore, diff_stores
+
+        parallel, serial = tmp_path / "process", tmp_path / "serial"
+        argv = ARTIFACT_ARGV["table1"]
+        assert main(argv + ["--executor", "process", "-j", "2", "--store", str(parallel)]) == 0
+        assert main(argv + ["--store", str(serial)]) == 0
+        assert diff_stores(ResultStore(parallel), ResultStore(serial)) == []
 
 
 class TestMatrixCommand:
