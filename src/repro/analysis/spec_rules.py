@@ -5,29 +5,27 @@ not) and lazily cross-referenced against the system and plugin
 registries.  Rules construct nothing heavier than SUT default
 configurations and plugin instances; no campaign machinery runs.
 
-Unlike ``ExperimentSpec.validate()`` (which stops at its first failure,
-because run-spec needs a yes/no), these rules scan the whole spec and
-report every finding, with did-you-mean suggestions computed by the
-paper's own typo models (:mod:`repro.analysis.suggest`).
+The eight static rules (parse errors through store-filename clashes) are
+the spec checker's own coded findings
+(:meth:`~repro.core.spec.ExperimentSpec.findings`), selected by code: lint
+reports every finding where ``ExperimentSpec.validate()`` raises the
+first, with the same message.  The remaining rules are lint-only.
 """
 
 from __future__ import annotations
 
-import re
+from functools import cached_property
 from typing import Any, Iterator
 
 from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.analysis.rules import rule
-from repro.analysis.suggest import suggestion_suffix
 from repro.core import spec as spec_mod
-from repro.core.spec import ExperimentSpec, spec_error_code, validation_error_entry
+from repro.core.spec import ExperimentSpec, Finding, load_finding
 from repro.errors import SpecError, StoreError
 
 #: Dialects the DNS record view can read; a DNS-only plugin applied to a
 #: system with none of these produces zero scenarios (a dead cell).
 _DNS_DIALECTS = frozenset({"bindzone", "tinydns"})
-
-_AVAILABLE_RE = re.compile(r"unknown \w[\w ]* '([^']+)'; available: (.+)$")
 
 
 class SpecTarget:
@@ -36,16 +34,25 @@ class SpecTarget:
     def __init__(self, file: str):
         self.file = file
         self.spec: ExperimentSpec | None = None
-        self.load_error: str | None = None
+        self.load_error: Finding | None = None
         self._caches: dict[str, Any] = {}
         try:
             self.spec = ExperimentSpec.from_file(file)
         except SpecError as exc:
-            message = str(exc)
-            prefix = f"{file}: "
-            if message.startswith(prefix):
-                message = message[len(prefix):]
-            self.load_error = message
+            self.load_error = load_finding(exc, source=file)
+
+    @cached_property
+    def findings(self) -> list[Finding]:
+        """The spec checker's findings: the load failure, or every static problem."""
+        if self.load_error is not None:
+            return [self.load_error]
+        return list(self.spec.findings())
+
+    def diagnostics(self, code: str) -> Iterator[Diagnostic]:
+        """The checker's findings under ``code``, as lint diagnostics."""
+        for found, path, message in self.findings:
+            if found == code:
+                yield Diagnostic(code, message, Severity.ERROR, path, self.file)
 
     # ------------------------------------------------------------ cross-refs
     def plugin_class(self, name: str):
@@ -123,271 +130,56 @@ class SpecTarget:
         return self._caches[key]
 
 
-def _entry_diagnostic(
-    target: SpecTarget, message: str, code: str, severity: Severity
-) -> Diagnostic:
-    entry = validation_error_entry(message)
-    return Diagnostic(
-        code=code,
-        message=entry["message"],
-        severity=severity,
-        path=entry["path"],
-        file=target.file,
-    )
-
-
-def _available_suggestion(message: str) -> str:
-    """Did-you-mean suffix for ``unknown <kind> 'x'; available: a, b`` messages."""
-    match = _AVAILABLE_RE.search(message)
-    if not match:
-        return ""
-    typed, listing = match.groups()
-    return suggestion_suffix(typed, [name.strip() for name in listing.split(",")])
-
-
-# ----------------------------------------------------------------- loader stage
+# ------------------------------------------------------ the spec checker's codes
 @rule("spec/parse-error", Severity.ERROR, "spec")
 def check_parse_error(target: SpecTarget) -> Iterator[Diagnostic]:
     """The spec file cannot be read or decoded as TOML/JSON at all."""
-    if target.load_error and spec_error_code(target.load_error) == "spec/parse-error":
-        yield _entry_diagnostic(
-            target, target.load_error, "spec/parse-error", Severity.ERROR
-        )
+    return target.diagnostics("spec/parse-error")
 
 
 @rule("spec/unknown-key", Severity.ERROR, "spec")
 def check_unknown_key(target: SpecTarget) -> Iterator[Diagnostic]:
     """A table holds a key outside its schema -- usually a misspelling."""
-    if not target.load_error:
-        return
-    if spec_error_code(target.load_error) != "spec/unknown-key":
-        return
-    entry = validation_error_entry(target.load_error)
-    message = entry["message"]
-    match = re.search(r"expected one of: (.+)\)", message)
-    if match and entry["path"]:
-        typed = entry["path"].rsplit(".", 1)[-1]
-        candidates = [name.strip() for name in match.group(1).split(",")]
-        message += suggestion_suffix(typed, candidates)
-    yield Diagnostic(
-        code="spec/unknown-key",
-        message=message,
-        severity=Severity.ERROR,
-        path=entry["path"],
-        file=target.file,
-    )
+    return target.diagnostics("spec/unknown-key")
 
 
 @rule("spec/invalid-value", Severity.ERROR, "spec")
 def check_invalid_value(target: SpecTarget) -> Iterator[Diagnostic]:
     """A structurally valid entry holds a value its schema rejects."""
-    if target.load_error:
-        if spec_error_code(target.load_error) == "spec/invalid-value":
-            yield _entry_diagnostic(
-                target, target.load_error, "spec/invalid-value", Severity.ERROR
-            )
-        return
-    spec = target.spec
-    messages: list[str] = []
-    if not spec.systems:
-        messages.append("systems: an experiment needs at least one system")
-    if not spec.plugins:
-        messages.append("plugins: an experiment needs at least one plugin")
-    try:
-        spec.execution.validate()
-    except SpecError as exc:
-        messages.append(str(exc))
-    for index, system in enumerate(spec.systems):
-        try:
-            system.validate_chaos(f"systems[{index}].chaos")
-        except SpecError as exc:
-            messages.append(str(exc))
-    for index, plugin in enumerate(spec.plugins):
-        plugin_class = target.plugin_class(plugin.name)
-        if plugin_class is None:
-            continue  # spec/unknown-plugin owns that finding
-        try:
-            plugin_class.from_params(spec._effective_params(plugin, plugin_class))
-        except SpecError as exc:
-            messages.append(f"plugins[{index}].params.{exc}")
-    for message in messages:
-        # param-name mistakes have their own richer rule; everything else
-        # that the runtime validator would reject is a bad value
-        if spec_error_code(message) != "spec/invalid-value":
-            continue
-        yield _entry_diagnostic(
-            target,
-            message + _available_suggestion(message),
-            "spec/invalid-value",
-            Severity.ERROR,
-        )
+    return target.diagnostics("spec/invalid-value")
 
 
-# -------------------------------------------------------------- registry stage
 @rule("spec/unknown-system", Severity.ERROR, "spec")
 def check_unknown_system(target: SpecTarget) -> Iterator[Diagnostic]:
     """A system name is not in the registry."""
-    if target.spec is None:
-        return
-    from repro.registry import available_systems
-
-    known = available_systems()
-    for index, system in enumerate(target.spec.systems):
-        if system.name in known:
-            continue
-        yield Diagnostic(
-            code="spec/unknown-system",
-            message=(
-                f"unknown system {system.name!r}; available: "
-                f"{', '.join(known)}{suggestion_suffix(system.name, known)}"
-            ),
-            severity=Severity.ERROR,
-            path=f"systems[{index}].name",
-            file=target.file,
-        )
+    return target.diagnostics("spec/unknown-system")
 
 
 @rule("spec/unknown-plugin", Severity.ERROR, "spec")
 def check_unknown_plugin(target: SpecTarget) -> Iterator[Diagnostic]:
     """A plugin name is not in the registry."""
-    if target.spec is None:
-        return
-    from repro.plugins.base import available_plugins
-
-    known = available_plugins()
-    for index, plugin in enumerate(target.spec.plugins):
-        if plugin.name in known:
-            continue
-        yield Diagnostic(
-            code="spec/unknown-plugin",
-            message=(
-                f"unknown plugin {plugin.name!r}; available: "
-                f"{', '.join(known)}{suggestion_suffix(plugin.name, known)}"
-            ),
-            severity=Severity.ERROR,
-            path=f"plugins[{index}].name",
-            file=target.file,
-        )
+    return target.diagnostics("spec/unknown-plugin")
 
 
 @rule("spec/unknown-plugin-param", Severity.ERROR, "spec")
 def check_unknown_plugin_param(target: SpecTarget) -> Iterator[Diagnostic]:
     """A plugin parameter name is outside the plugin's ``param_names``."""
-    if target.spec is None:
-        return
-    for index, plugin in enumerate(target.spec.plugins):
-        plugin_class = target.plugin_class(plugin.name)
-        if plugin_class is None:
-            continue
-        known = list(plugin_class.param_names)
-        for key in plugin.params:
-            if key in known:
-                continue
-            yield Diagnostic(
-                code="spec/unknown-plugin-param",
-                message=(
-                    f"unknown parameter for plugin {plugin.name!r}; known: "
-                    f"{', '.join(known) or '(none)'}{suggestion_suffix(key, known)}"
-                ),
-                severity=Severity.ERROR,
-                path=f"plugins[{index}].params.{key}",
-                file=target.file,
-            )
+    return target.diagnostics("spec/unknown-plugin-param")
 
 
 @rule("spec/duplicate-label", Severity.ERROR, "spec")
 def check_duplicate_label(target: SpecTarget) -> Iterator[Diagnostic]:
     """Two systems or plugins resolve to the same store/table key."""
-    if target.spec is None:
-        return
-    seen_systems: dict[str, int] = {}
-    seen_displays: dict[str, int] = {}
-    for index, system in enumerate(target.spec.systems):
-        if system.key in seen_systems:
-            yield Diagnostic(
-                code="spec/duplicate-label",
-                message=(
-                    f"duplicate system {system.key!r} (already listed at "
-                    f"systems[{seen_systems[system.key]}]); list each system "
-                    "once, or give one a distinct label"
-                ),
-                severity=Severity.ERROR,
-                path=f"systems[{index}]",
-                file=target.file,
-            )
-            continue
-        seen_systems[system.key] = index
-        # the display name CampaignSuite.system_names() gives the system
-        display = system.label
-        if display is None:
-            sut = target.system_sut(index)
-            if sut is None:
-                continue
-            display = sut.name
-        if display in seen_displays:
-            other = target.spec.systems[seen_displays[display]]
-            yield Diagnostic(
-                code="spec/duplicate-label",
-                message=(
-                    f"system {system.name!r} and {other.name!r} "
-                    f"(systems[{seen_displays[display]}]) share the SUT display "
-                    f"name {display!r}; rendered tables would merge them"
-                ),
-                severity=Severity.ERROR,
-                path=f"systems[{index}]",
-                file=target.file,
-            )
-            continue
-        seen_displays[display] = index
-    seen_plugins: dict[str, int] = {}
-    for index, plugin in enumerate(target.spec.plugins):
-        if plugin.key in seen_plugins:
-            yield Diagnostic(
-                code="spec/duplicate-label",
-                message=(
-                    f"duplicate plugin {plugin.key!r} (already listed at "
-                    f"plugins[{seen_plugins[plugin.key]}]); give one of them "
-                    "a distinct label"
-                ),
-                severity=Severity.ERROR,
-                path=f"plugins[{index}]",
-                file=target.file,
-            )
-            continue
-        seen_plugins[plugin.key] = index
+    return target.diagnostics("spec/duplicate-label")
 
 
 @rule("spec/store-filename-clash", Severity.ERROR, "spec")
 def check_store_filename_clash(target: SpecTarget) -> Iterator[Diagnostic]:
     """Two distinct system labels sanitize to one store JSONL filename."""
-    if target.spec is None:
-        return
-    from repro.core.store import filename_for
-
-    seen_files: dict[str, tuple[int, str]] = {}
-    seen_keys: set[str] = set()
-    for index, system in enumerate(target.spec.systems):
-        if system.key in seen_keys:
-            continue  # spec/duplicate-label owns exact duplicates
-        seen_keys.add(system.key)
-        filename = filename_for(system.key)
-        if filename in seen_files:
-            other_index, other_key = seen_files[filename]
-            yield Diagnostic(
-                code="spec/store-filename-clash",
-                message=(
-                    f"label {system.key!r} shares the store filename "
-                    f"{filename!r} with {other_key!r} (systems[{other_index}]); "
-                    "give one a label that differs in [A-Za-z0-9._-] characters"
-                ),
-                severity=Severity.ERROR,
-                path=f"systems[{index}]",
-                file=target.file,
-            )
-            continue
-        seen_files[filename] = (index, system.key)
+    return target.diagnostics("spec/store-filename-clash")
 
 
+# ------------------------------------------------------------- lint-only rules
 @rule("spec/seed-collision", Severity.ERROR, "spec")
 def check_seed_collision(target: SpecTarget) -> Iterator[Diagnostic]:
     """Two matrix cells derive the same per-cell seed.

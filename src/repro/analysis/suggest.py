@@ -54,3 +54,9 @@ def suggestion_suffix(typed: str, candidates: Iterable[str]) -> str:
     """``"; did you mean 'x'?"`` when a suggestion exists, else ``""``."""
     suggestion = did_you_mean(typed, candidates)
     return f"; did you mean {suggestion!r}?" if suggestion else ""
+
+
+def unknown_name(kind: str, name: str, known: Sequence[str]) -> str:
+    """``unknown <kind> 'x'; available: a, b`` with its did-you-mean suffix."""
+    listing = ", ".join(known)
+    return f"unknown {kind} {name!r}; available: {listing}{suggestion_suffix(name, known)}"

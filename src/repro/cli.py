@@ -697,13 +697,9 @@ def _command_validate(args: argparse.Namespace) -> int:
         # machine-readable: always exit through JSON (0 valid / 1 invalid),
         # never a traceback -- this document is also the service's 400 body
         try:
-            spec = ExperimentSpec.from_file(args.spec_file)
+            report = validation_report(ExperimentSpec.from_file(args.spec_file))
         except SpecError as exc:
-            from repro.core.spec import validation_error_entry
-
-            report = {"valid": False, "errors": [validation_error_entry(str(exc))]}
-        else:
-            report = validation_report(spec)
+            report = validation_report(exc, source=args.spec_file)
         print(json.dumps(report, indent=2))
         return 0 if report["valid"] else 1
     spec = ExperimentSpec.from_file(args.spec_file)

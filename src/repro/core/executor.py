@@ -8,18 +8,12 @@ but a campaign is more than a work-partitioning problem: it is a *durability*
 problem too.  A long campaign must make progress visible (and persistable) as
 it happens, not only once every worker has drained its share.
 
-Every strategy therefore implements a streaming protocol:
-
-``stream(spec, scenarios)``
-    A generator yielding ``(scenario_index, record)`` pairs **as each
-    experiment completes**, in whatever order workers finish them.  The
-    engine merges the stream back into scenario order on the fly, so
-    observers (progress lines, result-store appends) fire while the campaign
-    is still running -- under every strategy, not just the serial one.
-
-``run(spec, scenarios)``
-    Back-compatible convenience: drains :meth:`stream` and returns the
-    records sorted into scenario order.
+Every strategy therefore implements one streaming protocol,
+``stream(spec, scenarios)``: a generator yielding ``(scenario_index,
+record)`` pairs **as each experiment completes**, in whatever order workers
+finish them.  The engine merges the stream back into scenario order on the
+fly, so observers (progress lines, result-store appends) fire while the
+campaign is still running -- under every strategy, not just the serial one.
 
 Work is handed out in small *blocks* pulled from one shared queue (work
 stealing) rather than one static contiguous chunk per worker: a chunk full
@@ -193,15 +187,6 @@ def make_blocks(indexed: Sequence, block_size: int) -> list[list]:
     return [list(indexed[i:i + block_size]) for i in range(0, len(indexed), block_size)]
 
 
-def _merge_in_order(
-    chunk_results: Sequence[Sequence[tuple[int, InjectionRecord]]]
-) -> list[InjectionRecord]:
-    """Deterministic merge: records sorted by original scenario index."""
-    flat = [pair for chunk in chunk_results for pair in chunk]
-    flat.sort(key=lambda pair: pair[0])
-    return [record for _, record in flat]
-
-
 def _make_runner(spec: WorkerSpec) -> "WorkerContext | GuardedWorker":
     """One worker's scenario runner, honouring the spec's fault policy.
 
@@ -257,10 +242,6 @@ class CampaignExecutor(ABC):
         ``range(len(scenarios))`` is yielded exactly once.  A worker failure
         raises from the generator after in-flight work has settled.
         """
-
-    def run(self, spec: WorkerSpec, scenarios: Sequence[FaultScenario]) -> list[InjectionRecord]:
-        """Execute every scenario and return records in scenario order."""
-        return _merge_in_order([list(self.stream(spec, scenarios))])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(jobs={self.jobs}, block_size={self.block_size})"

@@ -19,8 +19,11 @@ result store -- as frozen, serializable dataclasses:
 * :class:`ExperimentSpec` -- the top-level document tying them together.
 
 Specs round-trip through plain dicts (``to_dict``/``from_dict``), JSON and
-TOML; :meth:`ExperimentSpec.validate` reports the exact path of an invalid
-entry (``plugins[1].params.layout: unknown layout 'qwertz-xx'``).  Result
+TOML.  :meth:`ExperimentSpec.findings` is the one static checker: it yields
+every problem as a coded ``(code, path, message)`` finding
+(``plugins[1].params.layout: unknown layout 'qwertz-xx'``), which
+:meth:`~ExperimentSpec.validate`, :func:`validation_report` and
+``conferr lint`` all read.  Result
 stores embed the serialized spec in their manifest, so resume compatibility
 is a structured :func:`diff_spec_dicts` rather than a field-by-field
 comparison.
@@ -32,7 +35,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from repro.errors import SpecError
 
@@ -44,9 +47,9 @@ __all__ = [
     "ExperimentSpec",
     "derive_seed",
     "diff_spec_dicts",
+    "load_finding",
     "spec_dict_to_toml",
     "validation_report",
-    "validation_error_entry",
 ]
 
 #: Worker strategies understood by the campaign executor.
@@ -56,6 +59,14 @@ EXECUTOR_CHOICES = ("serial", "thread", "process")
 #: not set them explicitly (mirrors the CLI's ``--mutations-per-token``,
 #: ``--max-scenarios-per-class`` and ``--layout`` flags).
 _PLUGIN_DEFAULT_KEYS = ("mutations_per_token", "max_scenarios_per_class", "layout")
+
+#: One static problem of a spec: ``(code, path, message)``.  Codes are the
+#: spec-surface rule codes of :mod:`repro.analysis` (docs/LINTING.md);
+#: ``path`` is the spec path of the offending entry, or None.
+Finding = tuple[str, str | None, str]
+
+_INVALID = "spec/invalid-value"
+_DUPLICATE = "spec/duplicate-label"
 
 
 def derive_seed(suite_seed: int, system: str, plugin: str) -> int:
@@ -118,11 +129,37 @@ def _require_bool(value: Any, path: str) -> bool:
     return value
 
 
-def _reject_unknown_keys(data: Mapping[str, Any], known: tuple[str, ...], path: str) -> None:
+def _unknown_keys(data: Mapping[str, Any], known: tuple[str, ...], path: str) -> Iterator[Finding]:
     for key in data:
         if key not in known:
-            where = f"{path}.{key}" if path else str(key)
-            raise SpecError(f"{where}: unknown key (expected one of: {', '.join(known)})")
+            from repro.analysis.suggest import suggestion_suffix  # error path only
+
+            yield (
+                "spec/unknown-key",
+                f"{path}.{key}" if path else str(key),
+                f"unknown key (expected one of: {', '.join(known)})"
+                f"{suggestion_suffix(str(key), known)}",
+            )
+
+
+def _reject_unknown_keys(data: Mapping[str, Any], known: tuple[str, ...], path: str) -> None:
+    for _code, where, message in _unknown_keys(data, known, path):
+        raise SpecError(f"{where}: {message}")
+
+
+def _unknown_name(kind: str, name: str, known) -> str:
+    # imported here: a valid spec never pays for the suggestion machinery
+    from repro.analysis.suggest import unknown_name
+
+    return unknown_name(kind, name, known)
+
+
+def _split_path(message: str) -> tuple[str | None, str]:
+    """``(path, message)`` of a ``path: message`` text; paths never hold spaces."""
+    head, sep, rest = message.partition(": ")
+    if sep and head and " " not in head:
+        return head, rest
+    return None, message
 
 
 def _prune_nones(value: Any) -> Any:
@@ -189,27 +226,30 @@ class SystemSpec:
             name=_require_str(data.get("name"), f"{path}.name"), label=label, chaos=chaos
         )
 
-    def validate_chaos(self, path: str) -> None:
-        """Typed validation of the chaos table (fractions, seed, hang time)."""
+    def chaos_findings(self, path: str) -> Iterator[Finding]:
+        """Unknown keys of the chaos table, then its first bad value."""
         if self.chaos is None:
             return
         known = ("hang_fraction", "crash_fraction", "error_fraction", "seed", "hang_seconds")
-        _reject_unknown_keys(self.chaos, known, path)
-        total = 0.0
-        for key in ("hang_fraction", "crash_fraction", "error_fraction"):
-            if key in self.chaos:
-                value = _require_number(self.chaos[key], f"{path}.{key}")
-                if not 0.0 <= value <= 1.0:
-                    raise SpecError(f"{path}.{key}: must be within [0, 1], got {value}")
-                total += value
-        if total > 1.0:
-            raise SpecError(f"{path}: fault fractions must sum to at most 1, got {total}")
-        if "seed" in self.chaos:
-            _require_int(self.chaos["seed"], f"{path}.seed")
-        if "hang_seconds" in self.chaos:
-            value = _require_number(self.chaos["hang_seconds"], f"{path}.hang_seconds")
-            if value <= 0:
-                raise SpecError(f"{path}.hang_seconds: must be positive, got {value}")
+        yield from _unknown_keys(self.chaos, known, path)
+        try:
+            total = 0.0
+            for key in ("hang_fraction", "crash_fraction", "error_fraction"):
+                if key in self.chaos:
+                    value = _require_number(self.chaos[key], f"{path}.{key}")
+                    if not 0.0 <= value <= 1.0:
+                        raise SpecError(f"{path}.{key}: must be within [0, 1], got {value}")
+                    total += value
+            if total > 1.0:
+                raise SpecError(f"{path}: fault fractions must sum to at most 1, got {total}")
+            if "seed" in self.chaos:
+                _require_int(self.chaos["seed"], f"{path}.seed")
+            if "hang_seconds" in self.chaos:
+                value = _require_number(self.chaos["hang_seconds"], f"{path}.hang_seconds")
+                if value <= 0:
+                    raise SpecError(f"{path}.hang_seconds: must be positive, got {value}")
+        except SpecError as exc:
+            yield (_INVALID, *_split_path(str(exc)))
 
 
 @dataclass(frozen=True)
@@ -337,41 +377,32 @@ class ExecutionSpec:
                 kwargs[key] = _require_number(data[key], f"{path}.{key}")
         return cls(**kwargs)
 
-    def validate(self, path: str = "execution") -> None:
+    def findings(self) -> Iterator[Finding]:
+        """Every out-of-range execution setting."""
         if self.jobs < 1:
-            raise SpecError(f"{path}.jobs: must be a positive integer, got {self.jobs}")
+            yield _INVALID, "execution.jobs", f"must be a positive integer, got {self.jobs}"
         if self.executor is not None and self.executor not in EXECUTOR_CHOICES:
-            raise SpecError(
-                f"{path}.executor: unknown executor {self.executor!r}; "
-                f"available: {', '.join(EXECUTOR_CHOICES)}"
-            )
+            message = _unknown_name("executor", self.executor, EXECUTOR_CHOICES)
+            yield _INVALID, "execution.executor", message
         for key in ("block_size", "mutations_per_token", "max_scenarios_per_class"):
             value = getattr(self, key)
             if value is not None and value < 1:
-                raise SpecError(f"{path}.{key}: must be a positive integer, got {value}")
+                yield _INVALID, f"execution.{key}", f"must be a positive integer, got {value}"
         if self.timeout_seconds is not None and self.timeout_seconds <= 0:
-            raise SpecError(
-                f"{path}.timeout_seconds: must be positive, got {self.timeout_seconds}"
-            )
-        if self.max_retries is not None and self.max_retries < 0:
-            raise SpecError(
-                f"{path}.max_retries: must be zero or positive, got {self.max_retries}"
-            )
-        if self.retry_backoff_seconds is not None and self.retry_backoff_seconds < 0:
-            raise SpecError(
-                f"{path}.retry_backoff_seconds: must be zero or positive, "
-                f"got {self.retry_backoff_seconds}"
-            )
+            message = f"must be positive, got {self.timeout_seconds}"
+            yield _INVALID, "execution.timeout_seconds", message
+        for key in ("max_retries", "retry_backoff_seconds"):
+            value = getattr(self, key)
+            if value is not None and value < 0:
+                yield _INVALID, f"execution.{key}", f"must be zero or positive, got {value}"
         if self.layout is not None:
             from repro.keyboard.layouts import available_layouts, get_layout
 
             try:
                 get_layout(self.layout)
             except KeyError:
-                raise SpecError(
-                    f"{path}.layout: unknown layout {self.layout!r}; "
-                    f"available: {', '.join(available_layouts())}"
-                ) from None
+                message = _unknown_name("layout", self.layout, available_layouts())
+                yield _INVALID, "execution.layout", message
 
 
 @dataclass(frozen=True)
@@ -511,89 +542,117 @@ class ExperimentSpec:
             raise SpecError(f"{path}: {exc}") from None
 
     # -------------------------------------------------------------- validation
-    def validate(self) -> "ExperimentSpec":
-        """Check the spec against the registries; returns self when valid.
+    def findings(self) -> Iterator[Finding]:
+        """Every static problem of the spec, as coded ``(code, path, message)``.
 
-        Every failure names the exact offending path, e.g.
-        ``plugins[1].params.layout: unknown layout 'qwertz-xx'``.
+        The one spec checker: :meth:`validate` raises the first finding,
+        :func:`validation_report` lists them all, and ``conferr lint``'s
+        spec rules select them by code.  Did-you-mean suggestions are
+        built here, on the error path only: a valid spec costs the registry
+        lookups, SUT display names and plugin constructions and nothing
+        more.
         """
-        from repro.registry import available_systems, get_system
-
-        if not self.systems:
-            raise SpecError("systems: an experiment needs at least one system")
-        if not self.plugins:
-            raise SpecError("plugins: an experiment needs at least one plugin")
-        # execution first: its defaults are folded into the plugin params, so
-        # an invalid layout should be reported where the user wrote it
-        self.execution.validate()
         from repro.core.store import filename_for
+        from repro.plugins.base import available_plugins, get_plugin
+        from repro.registry import available_systems, get_system
         from repro.sut.base import split_sut
 
+        if not self.systems:
+            yield _INVALID, "systems", "an experiment needs at least one system"
+        if not self.plugins:
+            yield _INVALID, "plugins", "an experiment needs at least one plugin"
+        # execution first: its defaults are folded into the plugin params, so
+        # an invalid layout should be reported where the user wrote it
+        yield from self.execution.findings()
         seen_systems: dict[str, int] = {}
         seen_files: dict[str, int] = {}
         seen_displays: dict[str, int] = {}
         for index, system in enumerate(self.systems):
+            path = f"systems[{index}]"
             try:
                 factory = get_system(system.name)
             except SpecError:
-                raise SpecError(
-                    f"systems[{index}].name: unknown system {system.name!r}; "
-                    f"available: {', '.join(available_systems())}"
-                ) from None
-            if system.key in seen_systems:
-                raise SpecError(
-                    f"systems[{index}]: duplicate system {system.key!r} "
-                    f"(already listed at systems[{seen_systems[system.key]}]); "
-                    "list each system once, or give one a distinct label"
+                factory = None
+                message = _unknown_name("system", system.name, available_systems())
+                yield "spec/unknown-system", f"{path}.name", message
+            first = seen_systems.setdefault(system.key, index)
+            duplicate = first != index
+            if duplicate:
+                yield (
+                    _DUPLICATE,
+                    path,
+                    f"duplicate system {system.key!r} (already listed at "
+                    f"systems[{first}]); list each system once, or give one a "
+                    "distinct label",
                 )
-            seen_systems[system.key] = index
-            # distinct keys may still sanitize to one store filename, which
-            # would interleave both systems' records in a single JSONL
-            filename = filename_for(system.key)
-            if filename in seen_files:
-                other = self.systems[seen_files[filename]].key
-                raise SpecError(
-                    f"systems[{index}]: label {system.key!r} shares the store "
-                    f"filename {filename!r} with {other!r} "
-                    f"(systems[{seen_files[filename]}]); give one a label that "
-                    "differs in [A-Za-z0-9._-] characters"
-                )
-            seen_files[filename] = index
+            else:
+                # distinct keys may still sanitize to one store filename,
+                # which would interleave both systems' records in one JSONL
+                filename = filename_for(system.key)
+                first = seen_files.setdefault(filename, index)
+                if first != index:
+                    yield (
+                        "spec/store-filename-clash",
+                        path,
+                        f"label {system.key!r} shares the store filename "
+                        f"{filename!r} with {self.systems[first].key!r} "
+                        f"(systems[{first}]); give one a label that differs in "
+                        "[A-Za-z0-9._-] characters",
+                    )
+            yield from system.chaos_findings(f"{path}.chaos")
+            if factory is None or duplicate:
+                continue
             # mirror CampaignSuite.system_names(): two systems sharing a
-            # display name would merge into one rendered table column, so
-            # validate must refuse what run-spec would refuse
-            system.validate_chaos(f"systems[{index}].chaos")
+            # display name would merge into one rendered table column
             display = system.label or split_sut(factory)[0].name
-            if display in seen_displays:
-                other = self.systems[seen_displays[display]].name
-                raise SpecError(
-                    f"systems[{index}]: system {system.name!r} and {other!r} "
-                    f"(systems[{seen_displays[display]}]) share the SUT display "
-                    f"name {display!r}; rendered tables would merge them"
+            first = seen_displays.setdefault(display, index)
+            if first != index:
+                yield (
+                    _DUPLICATE,
+                    path,
+                    f"system {system.name!r} and {self.systems[first].name!r} "
+                    f"(systems[{first}]) share the SUT display name "
+                    f"{display!r}; rendered tables would merge them",
                 )
-            seen_displays[display] = index
         seen_plugins: dict[str, int] = {}
         for index, plugin in enumerate(self.plugins):
+            path = f"plugins[{index}]"
             try:
-                from repro.plugins.base import available_plugins, get_plugin
-
                 plugin_class = get_plugin(plugin.name)
             except KeyError:
-                raise SpecError(
-                    f"plugins[{index}].name: unknown plugin {plugin.name!r}; "
-                    f"available: {', '.join(available_plugins())}"
-                ) from None
-            if plugin.key in seen_plugins:
-                raise SpecError(
-                    f"plugins[{index}]: duplicate plugin {plugin.key!r} "
-                    f"(already listed at plugins[{seen_plugins[plugin.key]}]); "
-                    "give one of them a distinct label"
+                plugin_class = None
+                message = _unknown_name("plugin", plugin.name, available_plugins())
+                yield "spec/unknown-plugin", f"{path}.name", message
+            first = seen_plugins.setdefault(plugin.key, index)
+            if first != index:
+                yield (
+                    _DUPLICATE,
+                    path,
+                    f"duplicate plugin {plugin.key!r} (already listed at "
+                    f"plugins[{first}]); give one of them a distinct label",
                 )
-            seen_plugins[plugin.key] = index
+            if plugin_class is None:
+                continue
+            params = self._effective_params(plugin, plugin_class)
+            unknown = list(plugin_class.unknown_params(params))
+            for key, message in unknown:
+                yield "spec/unknown-plugin-param", f"{path}.params.{key}", message
+            if unknown:
+                continue
             try:
-                plugin_class.from_params(self._effective_params(plugin, plugin_class))
+                plugin_class.from_params(params)
             except SpecError as exc:
-                raise SpecError(f"plugins[{index}].params.{exc}") from None
+                # from_params messages start with the offending parameter
+                key, _, message = str(exc).partition(": ")
+                yield _INVALID, f"{path}.params.{key}", message
+
+    def validate(self) -> "ExperimentSpec":
+        """Raise the first of :meth:`findings` as ``SpecError("path: message")``.
+
+        Returns self when the spec is valid.
+        """
+        for _code, path, message in self.findings():
+            raise SpecError(f"{path}: {message}")
         return self
 
     # ------------------------------------------------------------ construction
@@ -657,69 +716,44 @@ class ExperimentSpec:
 
 
 # ------------------------------------------------------- validation as data
-def spec_error_code(message: str) -> str:
-    """Stable diagnostic code classifying a :class:`SpecError` message.
+def load_finding(error: SpecError, source: str | None = None) -> Finding:
+    """The finding of a spec that failed to load (``from_*`` raised ``error``).
 
-    The codes are the spec-surface rule codes of :mod:`repro.analysis`
-    (see docs/LINTING.md), so ``validate --json``, the campaign
-    service's 400 bodies and ``conferr lint --json`` all speak the same
-    coded dialect.  Classification is by the stable phrasing of the
-    messages this module itself produces; anything unrecognized is the
-    catch-all ``spec/invalid-value``.
+    ``source`` is the spec file whose name :meth:`ExperimentSpec.from_file`
+    put in front of the message; it is dropped so the path is the spec
+    path.  Loading fails before any registry is consulted, so only three
+    codes are possible.
     """
-    if (
-        message.startswith(("invalid JSON spec", "invalid TOML spec"))
-        or "cannot read spec file" in message
-    ):
-        return "spec/parse-error"
-    if "unknown key (expected one of" in message:
-        return "spec/unknown-key"
-    if "unknown system" in message:
-        return "spec/unknown-system"
-    if "unknown plugin " in message:
-        return "spec/unknown-plugin"
-    if "unknown parameter for plugin" in message:
-        return "spec/unknown-plugin-param"
-    if "duplicate system" in message or "duplicate plugin" in message:
-        return "spec/duplicate-label"
-    if "share the SUT display name" in message:
-        return "spec/duplicate-label"
-    if "shares the store filename" in message:
-        return "spec/store-filename-clash"
-    return "spec/invalid-value"
+    message = str(error)
+    if source is not None:
+        message = message.removeprefix(f"{source}: ")
+    if message.startswith(("invalid JSON spec", "invalid TOML spec", "cannot read spec file")):
+        return "spec/parse-error", None, message
+    path, message = _split_path(message)
+    if message.startswith("unknown key (expected one of"):
+        return "spec/unknown-key", path, message
+    return _INVALID, path, message
 
 
-def validation_error_entry(message: str) -> dict[str, Any]:
-    """One machine-readable validation error from a :class:`SpecError` message.
-
-    Spec errors are ``path: message`` strings with the exact offending path
-    up front (``plugins[1].params.layout: unknown layout 'qwertz-xx'``);
-    this splits them into ``{"path", "message"}`` and attaches the
-    :func:`spec_error_code` diagnostic code (validation failures are all
-    ``"error"`` severity -- :meth:`ExperimentSpec.validate` has no notion
-    of warnings).  Messages without a leading path (paths never contain
-    spaces) get ``path: None``.
-    """
-    code = spec_error_code(message)
-    head, sep, rest = message.partition(": ")
-    if sep and head and " " not in head:
-        return {"code": code, "path": head, "message": rest, "severity": "error"}
-    return {"code": code, "path": None, "message": message, "severity": "error"}
-
-
-def validation_report(spec: "ExperimentSpec") -> dict[str, Any]:
-    """Validate a spec into a JSON-native report: ``{"valid", "errors"}``.
+def validation_report(
+    spec: ExperimentSpec | SpecError, source: str | None = None
+) -> dict[str, Any]:
+    """A loaded spec's findings, or a load failure, as ``{"valid", "errors"}``.
 
     The exact document ``conferr validate --json`` prints and the campaign
     service returns as its 400 response body -- one shape, produced in one
-    place.  Validation stops at the first failure (as :meth:`validate`
-    does), so ``errors`` holds at most one entry.
+    place.  ``errors`` lists every finding, the one :meth:`validate` would
+    raise first; ``source`` is as for :func:`load_finding`.
     """
-    try:
-        spec.validate()
-    except SpecError as exc:
-        return {"valid": False, "errors": [validation_error_entry(str(exc))]}
-    return {"valid": True, "errors": []}
+    if isinstance(spec, SpecError):
+        findings = [load_finding(spec, source)]
+    else:
+        findings = list(spec.findings())
+    errors = [
+        {"code": code, "path": path, "message": message, "severity": "error"}
+        for code, path, message in findings
+    ]
+    return {"valid": not errors, "errors": errors}
 
 
 # ------------------------------------------------------------------ spec diffing

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 from repro.core.infoset import ConfigSet
 from repro.core.templates.base import FaultScenario
@@ -51,9 +51,9 @@ def string_list_param(key: str, value: Any, allowed: Sequence[str] | None = None
         if not isinstance(name, str):
             raise SpecError(f"{key}: expected a list of strings, got element {name!r}")
         if allowed is not None and name not in allowed:
-            raise SpecError(
-                f"{key}: unknown value {name!r}; available: {', '.join(allowed)}"
-            )
+            from repro.analysis.suggest import unknown_name
+
+            raise SpecError(f"{key}: {unknown_name('value', name, allowed)}")
         if name in seen:
             raise SpecError(f"{key}: duplicate value {name!r}; list each entry once")
         seen.add(name)
@@ -118,10 +118,10 @@ class ErrorGeneratorPlugin(ABC):
         return cls(**dict(params))
 
     @classmethod
-    def check_param_names(cls, params: Mapping[str, Any]) -> None:
-        """Reject parameter names outside :attr:`param_names`.
+    def unknown_params(cls, params: Mapping[str, Any]) -> Iterator[tuple[str, str]]:
+        """``(name, message)`` for each parameter name outside :attr:`param_names`.
 
-        The rejection carries a did-you-mean suggestion computed by the
+        The message carries a did-you-mean suggestion computed by the
         spelling plugin's own typo models -- most parameter mistakes are
         one psychomotor slip away from the name that was meant.
         """
@@ -129,11 +129,17 @@ class ErrorGeneratorPlugin(ABC):
             if key not in cls.param_names:
                 from repro.analysis.suggest import suggestion_suffix
 
-                raise SpecError(
-                    f"{key}: unknown parameter for plugin {cls.name!r}; "
+                yield key, (
+                    f"unknown parameter for plugin {cls.name!r}; "
                     f"known: {', '.join(cls.param_names) or '(none)'}"
                     f"{suggestion_suffix(key, cls.param_names)}"
                 )
+
+    @classmethod
+    def check_param_names(cls, params: Mapping[str, Any]) -> None:
+        """Reject the first parameter name outside :attr:`param_names`."""
+        for key, message in cls.unknown_params(params):
+            raise SpecError(f"{key}: {message}")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.bench.artifacts import ARTIFACT_NAMES, render_artifact
-from repro.core.spec import ExperimentSpec, validation_error_entry, validation_report
+from repro.core.spec import ExperimentSpec, validation_report
 from repro.core.store import ResultStore
 from repro.errors import ServiceError, SpecError
 from repro.service.jobs import Job, JobRegistry
@@ -122,9 +122,7 @@ class CampaignService:
         try:
             spec = ExperimentSpec.from_toml(body) if toml else ExperimentSpec.from_json(body)
         except SpecError as exc:
-            raise SpecRejected(
-                {"valid": False, "errors": [validation_error_entry(str(exc))]}
-            ) from None
+            raise SpecRejected(validation_report(exc)) from None
         return self.submit(tenant, spec)
 
     def job(self, tenant: str, job_id: str) -> Job:

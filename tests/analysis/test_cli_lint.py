@@ -100,6 +100,24 @@ class TestJson:
         report = json.loads(capsys.readouterr().out)
         assert report == {"valid": True, "errors": []}
 
+    def test_validate_json_lists_every_finding_lint_reports(self, capsys, tmp_path):
+        spec_file = tmp_path / "two_typos.toml"
+        spec_file.write_text('systems = ["mysq"]\nplugins = ["speling"]\n', encoding="utf-8")
+        assert main(["validate", "--json", str(spec_file)]) == 1
+        validated = json.loads(capsys.readouterr().out)["errors"]
+        assert main(["lint", "--json", str(spec_file)]) == 1
+        linted = json.loads(capsys.readouterr().out)["errors"]
+        assert [entry["path"] for entry in validated] == ["systems[0].name", "plugins[0].name"]
+        assert sorted(
+            (entry["code"], entry["path"], entry["message"]) for entry in validated
+        ) == sorted((entry["code"], entry["path"], entry["message"]) for entry in linted)
+
+    def test_validate_json_codes_a_catalog_selector_as_a_value(self, capsys):
+        assert main(["validate", "--json", str(FIXTURES / "catalog_system_bad.toml")]) == 1
+        [entry] = json.loads(capsys.readouterr().out)["errors"]
+        assert entry["code"] == "spec/invalid-value"
+        assert entry["path"] == "plugins[0].params.system"
+
 
 class TestListRules:
     def test_list_rules_prints_the_catalog(self, capsys):

