@@ -63,12 +63,16 @@ class KeyboardLayout:
         self.name = name
         self._keys: dict[str, Key] = {}
         self._char_index: dict[str, tuple[Key, frozenset[str]]] = {}
+        #: ``neighbour_characters`` results per (character, max_distance,
+        #: keep_modifiers); cleared whenever a key is added.
+        self._neighbour_memo: dict[tuple[str, float, bool], tuple[str, ...]] = {}
         for key in keys:
             self.add_key(key)
 
     def add_key(self, key: Key) -> Key:
         """Register ``key`` and index every character it can produce."""
         self._keys[key.key_id] = key
+        self._neighbour_memo.clear()
         for modifiers, character in key.outputs.items():
             # first registration wins so base characters stay canonical
             self._char_index.setdefault(character, (key, modifiers))
@@ -125,19 +129,29 @@ class KeyboardLayout:
         characters produced by neighbouring keys.  When ``keep_modifiers`` is
         true (the paper's model) the same modifier combination is applied to
         the neighbouring keys; neighbours that produce nothing under those
-        modifiers are skipped.
+        modifiers are skipped.  Results are memoised per layout; every call
+        returns a fresh list.
         """
+        memo_key = (character, max_distance, keep_modifiers)
+        outputs = self._neighbour_memo.get(memo_key)
+        if outputs is None:
+            outputs = self._neighbour_memo[memo_key] = tuple(
+                self._neighbour_outputs(character, max_distance, keep_modifiers)
+            )
+        return list(outputs)
+
+    def _neighbour_outputs(
+        self, character: str, max_distance: float, keep_modifiers: bool
+    ) -> Iterator[str]:
         located = self.locate(character)
         if located is None:
-            return []
+            return
         key, modifiers = located
         wanted = modifiers if keep_modifiers else NO_MODIFIERS
-        outputs = []
         for neighbour in self.neighbours(key, max_distance):
             produced = neighbour.character(wanted)
             if produced is not None and produced != character:
-                outputs.append(produced)
-        return outputs
+                yield produced
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"KeyboardLayout({self.name!r}, keys={len(self._keys)})"

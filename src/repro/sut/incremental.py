@@ -228,10 +228,13 @@ def node_from_change(change: NodeChange, baseline_node: ConfigNode | None) -> Co
 def patch_tree(tree: ConfigTree, changes: Iterable[NodeChange]) -> ConfigTree | None:
     """Copy of ``tree`` with each change's node replaced.
 
-    Only the spine from the root down to each changed node is copied;
-    untouched siblings and subtrees are shared with the baseline.  Returns
-    None when a change's path does not resolve or its kind disagrees with
-    the baseline node (the caller falls back to a full pass).
+    Only the nodes on the path from the root to each change are copied, each
+    with a shallow copy of its child list; every other node is shared with
+    the baseline by reference and never visited.  Returns None when a
+    change's path does not resolve, its kind disagrees with the baseline
+    node, or one change's path is a proper prefix of another's (the
+    ancestor's replacement would drop the descendant change) -- the caller
+    then falls back to a full pass.
     """
     by_path: dict[tuple[int, ...], NodeChange] = {}
     for change in changes:
@@ -242,27 +245,28 @@ def patch_tree(tree: ConfigTree, changes: Iterable[NodeChange]) -> ConfigTree | 
         existing = node_at(tree, path)
         if existing is None or existing.kind != change.kind:
             return None
-    root = _patch_node(tree.root, (), by_path)
-    patched = ConfigTree(tree.name, root, dialect=tree.dialect)
-    return patched
+    # a prefix sorts directly before its extensions, so adjacent pairs suffice
+    ordered = sorted(by_path)
+    for shorter, longer in zip(ordered, ordered[1:]):
+        if longer[: len(shorter)] == shorter:
+            return None
+    root = _spine_copy(tree.root)
+    copies: dict[tuple[int, ...], ConfigNode] = {(): root}
+    for path, change in by_path.items():
+        parent = root
+        for depth in range(1, len(path)):
+            node = copies.get(path[:depth])
+            if node is None:
+                node = copies[path[:depth]] = _spine_copy(parent.children[path[depth - 1]])
+                parent.children[path[depth - 1]] = node
+            parent = node
+        parent.children[path[-1]] = node_from_change(change, parent.children[path[-1]])
+    return ConfigTree(tree.name, root, dialect=tree.dialect)
 
 
-def _patch_node(
-    node: ConfigNode,
-    path: tuple[int, ...],
-    by_path: Mapping[tuple[int, ...], NodeChange],
-) -> ConfigNode:
-    change = by_path.get(path)
-    if change is not None:
-        return node_from_change(change, node)
-    depth = len(path)
-    if not any(len(p) > depth and p[:depth] == path for p in by_path):
-        return node
-    copy = ConfigNode(node.kind, name=node.name, value=node.value, attrs=dict(node.attrs))
-    copy.children = [
-        _patch_node(child, path + (index,), by_path)
-        for index, child in enumerate(node.children)
-    ]
+def _spine_copy(node: ConfigNode) -> ConfigNode:
+    copy = ConfigNode(node.kind, name=node.name, value=node.value, attrs=node.attrs)
+    copy.children = list(node.children)
     return copy
 
 

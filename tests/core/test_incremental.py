@@ -38,6 +38,7 @@ from repro.sut.incremental import (
     NodeChange,
     ScenarioDelta,
     clear_baseline_cache,
+    node_at,
     patch_tree,
 )
 from repro.sut.mysql import SimulatedMySQL
@@ -236,6 +237,84 @@ class TestRoundTripGuard:
             attrs=dict(node.attrs),
         )
         assert engine._vet_change(change, prepared.trees) is None
+
+
+# ------------------------------------------------------------------ patch_tree
+def _shipped_trees():
+    trees = []
+    for sut_class in (SimulatedApache, SimulatedNginx, SimulatedSshd):
+        sut = sut_class()
+        for filename, text in sut.default_configuration().items():
+            tree = get_dialect(sut.dialect_for(filename)).parse(text, filename=filename)
+            paths = [path for _node, path in tree.root.walk_with_paths() if path]
+            trees.append((tree, paths))
+    return trees
+
+
+SHIPPED_TREES = _shipped_trees()
+
+
+def _identity_layout(tree):
+    return [(id(node), [id(child) for child in node.children]) for node in tree.walk()]
+
+
+class TestPatchTree:
+    """patch_tree copies only the root-to-change paths and shares the rest."""
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_patched_tree_matches_a_whole_tree_rebuild(self, data):
+        tree, paths = data.draw(st.sampled_from(SHIPPED_TREES))
+        picked = data.draw(st.lists(st.sampled_from(paths), min_size=1, max_size=4, unique=True))
+        words = st.one_of(st.none(), st.text("abc:/ ", max_size=6))
+        changes = []
+        for path in picked:
+            node = node_at(tree, path)
+            changes.append(
+                NodeChange(
+                    tree=tree.name,
+                    path=path,
+                    kind=node.kind,
+                    name=data.draw(words),
+                    value=data.draw(words),
+                    attrs={**node.attrs, "patched": True},
+                )
+            )
+        snapshot, layout = tree.clone(), _identity_layout(tree)
+
+        patched = patch_tree(tree, changes)
+
+        assert tree.structurally_equal(snapshot) and _identity_layout(tree) == layout
+        nested = any(a != b and b[: len(a)] == a for a in picked for b in picked)
+        if nested:
+            assert patched is None
+            return
+        reference = tree.clone()
+        for change in changes:
+            node = node_at(reference, change.path)
+            node.name, node.value, node.attrs = change.name, change.value, dict(change.attrs)
+        assert patched.structurally_equal(reference)
+        on_spine = {path[:depth] for path in picked for depth in range(len(path) + 1)}
+        for node, path in patched.root.walk_with_paths():
+            if path in on_spine:
+                assert node is not node_at(tree, path)
+            else:
+                assert node is node_at(tree, path)
+
+    def test_nested_changes_fall_back(self):
+        """A change below another change's node is not silently dropped."""
+        tree, _paths = SHIPPED_TREES[0]
+        section_path = next(
+            path for node, path in tree.root.walk_with_paths() if path and node.children
+        )
+        section = node_at(tree, section_path)
+        child = section.children[0]
+        changes = [
+            NodeChange(tree.name, section_path, section.kind, section.name, "changed"),
+            NodeChange(tree.name, section_path + (0,), child.kind, child.name, "changed"),
+        ]
+        assert patch_tree(tree, changes) is None
+        assert patch_tree(tree, changes[::-1]) is None
 
 
 # ------------------------------------------------------------- fallback routing

@@ -49,6 +49,44 @@ class TestLayoutModel:
         assert qwerty_us().neighbour_characters("€") == []
 
 
+def _uncached_neighbour_characters(layout, character, max_distance, keep_modifiers):
+    located = layout.locate(character)
+    if located is None:
+        return []
+    key, modifiers = located
+    wanted = modifiers if keep_modifiers else NO_MODIFIERS
+    produced = (neighbour.character(wanted) for neighbour in layout.neighbours(key, max_distance))
+    return [output for output in produced if output is not None and output != character]
+
+
+class TestNeighbourMemo:
+    @pytest.mark.parametrize("name", available_layouts())
+    def test_memo_matches_an_uncached_computation(self, name):
+        layout = get_layout(name)
+        for character in sorted(layout.supported_characters()) + ["€"]:
+            for max_distance in (1.0, 1.5, 2.5):
+                for keep_modifiers in (True, False):
+                    expected = _uncached_neighbour_characters(
+                        layout, character, max_distance, keep_modifiers
+                    )
+                    for _ in range(2):  # a miss, then a hit
+                        assert layout.neighbour_characters(
+                            character, max_distance, keep_modifiers
+                        ) == expected
+
+    def test_every_call_returns_a_fresh_list(self):
+        layout = qwerty_us()
+        first = layout.neighbour_characters("g")
+        first.append("!")
+        assert "!" not in layout.neighbour_characters("g")
+
+    def test_add_key_clears_the_memo(self):
+        layout = build_rows("tiny", [(0, 0.0, "ab", None)])
+        assert layout.neighbour_characters("a") == ["b"]
+        layout.add_key(Key("c", 1, 0.0, outputs={NO_MODIFIERS: "c"}))
+        assert layout.neighbour_characters("a") == ["b", "c"]
+
+
 class TestBundledLayouts:
     def test_available_layout_names(self):
         assert set(available_layouts()) == {"qwerty-us", "azerty-fr", "dvorak"}
