@@ -24,18 +24,29 @@ contains one ``dns-record`` node per published record:
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from repro.core.infoset import ConfigNode, ConfigSet, ConfigTree
 from repro.core.views.base import View
 from repro.dns.names import is_subdomain_of, normalize_name, reverse_pointer_name
 from repro.errors import SerializationError, TransformError
 
-__all__ = ["DnsRecordView", "VIEW_TREE_NAME"]
+__all__ = ["DnsRecordView", "VIEW_TREE_NAME", "ZoneContext"]
 
 VIEW_TREE_NAME = "dns-records"
 
 #: Numeric types used for the generic (``:``) tinydns lines.
 _GENERIC_TYPE_NUMBERS = {"HINFO": 13, "RP": 17, "TXT": 16}
 _GENERIC_TYPE_NAMES = {str(number): name for name, number in _GENERIC_TYPE_NUMBERS.items()}
+
+
+class ZoneContext(NamedTuple):
+    """What a zone-file line is read under: the current ``$ORIGIN`` and
+    ``$TTL`` arguments, and the owner text an ownerless record inherits."""
+
+    origin: str = ""
+    default_ttl: str | None = None
+    last_owner: str = ""
 
 
 def make_record_node(
@@ -71,115 +82,135 @@ class DnsRecordView(View):
         root = ConfigNode("records", name=VIEW_TREE_NAME)
         for tree in config_set:
             if tree.dialect == "bindzone":
-                self._transform_bind_zone(tree, root)
+                context = ZoneContext()
+                for node in tree.root.children:
+                    records, context = self.zone_line_records(node, tree.name, context)
+                    for record in records:
+                        root.append(record)
             elif tree.dialect == "tinydns":
-                self._transform_tinydns(tree, root)
+                group = 0
+                for node in tree.root.children:
+                    if node.kind == "record":
+                        group += 1
+                        for record in self.tinydns_line_records(node, tree.name, group):
+                            root.append(record)
         return ConfigSet([ConfigTree(VIEW_TREE_NAME, root, dialect="view:dns-records")])
 
     # ---- BIND zone files ----------------------------------------------------
-    def _transform_bind_zone(self, tree: ConfigTree, root: ConfigNode) -> None:
-        origin = ""
-        default_ttl = None
-        last_owner = ""
-        for node in tree.root.children:
-            if node.kind == "control":
-                if node.name == "ORIGIN":
-                    origin = node.value or ""
-                elif node.name == "TTL":
-                    default_ttl = node.value
-                continue
-            if node.kind != "record":
-                continue
-            owner_text = node.name if node.name else last_owner
-            last_owner = owner_text
-            owner = normalize_name(owner_text, origin)
-            rtype = node.get("type", "A").upper()
-            rdata = node.value or ""
-            attrs = {
-                "rtype": rtype,
-                "source_file": tree.name,
-                "origin": normalize_name(origin) if origin else "",
-                "ttl": node.get("ttl") or default_ttl,
-            }
-            if rtype == "MX":
-                parts = rdata.split(None, 1)
-                priority = int(parts[0]) if parts and parts[0].isdigit() else 0
-                exchanger = normalize_name(parts[1], origin) if len(parts) > 1 else ""
-                attrs["priority"] = priority
-                root.append(ConfigNode("dns-record", name=owner, value=exchanger, attrs=attrs))
-            elif rtype == "SOA":
-                attrs["soa_rdata"] = rdata
-                primary = rdata.split()[0] if rdata.split() else ""
-                root.append(
-                    ConfigNode(
-                        "dns-record", name=owner, value=normalize_name(primary, origin), attrs=attrs
-                    )
-                )
-            elif rtype in ("NS", "CNAME", "PTR"):
-                root.append(
-                    ConfigNode(
-                        "dns-record", name=owner, value=normalize_name(rdata, origin), attrs=attrs
-                    )
-                )
-            else:  # A, AAAA, TXT, RP, HINFO, ...
-                root.append(ConfigNode("dns-record", name=owner, value=rdata.strip('"'), attrs=attrs))
+    @staticmethod
+    def zone_line_records(
+        node: ConfigNode, file_name: str, context: ZoneContext
+    ) -> tuple[list[ConfigNode], ZoneContext]:
+        """The records one top-level zone-file node publishes, read under
+        ``context``, and the context the following node is read under.
+
+        The single source of truth for zone-file semantics: :meth:`transform`
+        folds it over whole files, the BIND server's delta start re-derives
+        single changed lines with it.  ``$ORIGIN``/``$TTL`` lines change the
+        context; a record line with an empty owner inherits the previous
+        record line's owner text.
+        """
+        if node.kind == "control":
+            if node.name == "ORIGIN":
+                return [], context._replace(origin=node.value or "")
+            if node.name == "TTL":
+                return [], context._replace(default_ttl=node.value)
+            return [], context
+        if node.kind != "record":
+            return [], context
+        origin = context.origin
+        owner_text = node.name if node.name else context.last_owner
+        owner = normalize_name(owner_text, origin)
+        rtype = node.get("type", "A").upper()
+        rdata = node.value or ""
+        attrs = {
+            "rtype": rtype,
+            "source_file": file_name,
+            "origin": normalize_name(origin) if origin else "",
+            "ttl": node.get("ttl") or context.default_ttl,
+        }
+        if rtype == "MX":
+            parts = rdata.split(None, 1)
+            attrs["priority"] = int(parts[0]) if parts and parts[0].isdigit() else 0
+            value = normalize_name(parts[1], origin) if len(parts) > 1 else ""
+        elif rtype == "SOA":
+            attrs["soa_rdata"] = rdata
+            primary = rdata.split()[0] if rdata.split() else ""
+            value = normalize_name(primary, origin)
+        elif rtype in ("NS", "CNAME", "PTR"):
+            value = normalize_name(rdata, origin)
+        else:  # A, AAAA, TXT, RP, HINFO, ...
+            value = rdata.strip('"')
+        record = ConfigNode("dns-record", name=owner, value=value, attrs=attrs)
+        return [record], context._replace(last_owner=owner_text)
 
     # ---- tinydns data files -------------------------------------------------
-    def _transform_tinydns(self, tree: ConfigTree, root: ConfigNode) -> None:
-        group_counter = 0
-        for node in tree.root.children:
-            if node.kind != "record":
-                continue
-            prefix = node.get("prefix")
-            fqdn = normalize_name(node.name or "")
-            fields = [str(field) for field in node.get("fields", [])]
-            group_counter += 1
-            group = f"{tree.name}:{group_counter}"
-            common = {"source_file": tree.name, "combined_group": group, "prefix": prefix}
+    @staticmethod
+    def tinydns_line_records(node: ConfigNode, file_name: str, group: int) -> list[ConfigNode]:
+        """The records one tinydns ``data`` line publishes.
 
-            def add(rtype: str, name: str, value: str, role: str, **extra) -> None:
-                attrs = {"rtype": rtype, "combined_role": role, **common, **extra}
-                root.append(ConfigNode("dns-record", name=normalize_name(name), value=value, attrs=attrs))
+        ``group`` is the line's ordinal among the file's record lines; the
+        records of one line share a ``combined_group`` so the reverse
+        transform can rebuild the line.  Every line is self-contained, so
+        this is all of tinydns' semantics: :meth:`transform` maps it over
+        whole files, the djbdns server's delta start over changed lines.
+        """
+        if node.kind != "record":
+            return []
+        prefix = node.get("prefix")
+        fqdn = normalize_name(node.name or "")
+        fields = [str(field) for field in node.get("fields", [])]
+        common = {
+            "source_file": file_name,
+            "combined_group": f"{file_name}:{group}",
+            "prefix": prefix,
+        }
+        records: list[ConfigNode] = []
 
-            ip = fields[0] if len(fields) > 0 else ""
-            if prefix == "=":
-                add("A", fqdn, ip, "a")
-                add("PTR", reverse_pointer_name(ip), fqdn, "ptr")
-            elif prefix == "+":
-                add("A", fqdn, ip, "a")
-            elif prefix == "^":
-                add("PTR", fqdn, ip, "ptr")
-            elif prefix == "C":
-                add("CNAME", fqdn, normalize_name(ip), "cname")
-            elif prefix == "'":
-                add("TXT", fqdn, ip, "txt")
-            elif prefix == "@":
-                exchanger = fields[1] if len(fields) > 1 else ""
-                distance = fields[2] if len(fields) > 2 else "0"
-                exchanger_name = normalize_name(exchanger) if "." in exchanger else normalize_name(f"{exchanger}.mx.{fqdn}")
-                add("MX", fqdn, exchanger_name, "mx", priority=int(distance or 0))
-                if ip:
-                    add("A", exchanger_name, ip, "mx-a")
-            elif prefix in (".", "&"):
-                server = fields[1] if len(fields) > 1 else ""
-                server_name = normalize_name(server) if "." in server else normalize_name(f"{server}.ns.{fqdn}")
-                if prefix == ".":
-                    add("SOA", fqdn, server_name, "soa")
-                add("NS", fqdn, server_name, "ns")
-                if ip:
-                    add("A", server_name, ip, "ns-a")
-            elif prefix == "Z":
-                primary = fields[1] if len(fields) > 1 else ""
-                add("SOA", fqdn, normalize_name(primary), "soa")
-            elif prefix == ":":
-                type_number = fields[0] if fields else ""
-                rdata = fields[1] if len(fields) > 1 else ""
-                rtype = _GENERIC_TYPE_NAMES.get(type_number, f"TYPE{type_number}")
-                add(rtype, fqdn, rdata, "generic", generic_type=type_number)
-            elif prefix == "-":
-                continue  # disabled record: publishes nothing
-            else:
-                raise TransformError(f"unsupported tinydns selector {prefix!r} in {tree.name}")
+        def add(rtype: str, name: str, value: str, role: str, **extra) -> None:
+            attrs = {"rtype": rtype, "combined_role": role, **common, **extra}
+            records.append(
+                ConfigNode("dns-record", name=normalize_name(name), value=value, attrs=attrs)
+            )
+
+        ip = fields[0] if len(fields) > 0 else ""
+        if prefix == "=":
+            add("A", fqdn, ip, "a")
+            add("PTR", reverse_pointer_name(ip), fqdn, "ptr")
+        elif prefix == "+":
+            add("A", fqdn, ip, "a")
+        elif prefix == "^":
+            add("PTR", fqdn, ip, "ptr")
+        elif prefix == "C":
+            add("CNAME", fqdn, normalize_name(ip), "cname")
+        elif prefix == "'":
+            add("TXT", fqdn, ip, "txt")
+        elif prefix == "@":
+            exchanger = fields[1] if len(fields) > 1 else ""
+            distance = fields[2] if len(fields) > 2 else "0"
+            exchanger_name = normalize_name(exchanger) if "." in exchanger else normalize_name(f"{exchanger}.mx.{fqdn}")
+            add("MX", fqdn, exchanger_name, "mx", priority=int(distance or 0))
+            if ip:
+                add("A", exchanger_name, ip, "mx-a")
+        elif prefix in (".", "&"):
+            server = fields[1] if len(fields) > 1 else ""
+            server_name = normalize_name(server) if "." in server else normalize_name(f"{server}.ns.{fqdn}")
+            if prefix == ".":
+                add("SOA", fqdn, server_name, "soa")
+            add("NS", fqdn, server_name, "ns")
+            if ip:
+                add("A", server_name, ip, "ns-a")
+        elif prefix == "Z":
+            primary = fields[1] if len(fields) > 1 else ""
+            add("SOA", fqdn, normalize_name(primary), "soa")
+        elif prefix == ":":
+            type_number = fields[0] if fields else ""
+            rdata = fields[1] if len(fields) > 1 else ""
+            rtype = _GENERIC_TYPE_NAMES.get(type_number, f"TYPE{type_number}")
+            add(rtype, fqdn, rdata, "generic", generic_type=type_number)
+        elif prefix != "-":  # a disabled ``-`` record publishes nothing
+            raise TransformError(f"unsupported tinydns selector {prefix!r} in {file_name}")
+        return records
 
     # ----------------------------------------------------------- untransform
     def untransform(self, view_set: ConfigSet, original: ConfigSet) -> ConfigSet:

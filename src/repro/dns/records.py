@@ -62,9 +62,7 @@ class RecordSet:
     """An ordered, queryable collection of DNS records."""
 
     def __init__(self, records: Iterable[DnsRecord] | None = None):
-        self._records: list[DnsRecord] = []
-        for record in records or []:
-            self.add(record)
+        self._records: list[DnsRecord] = list(records or ())
 
     # -------------------------------------------------------------- mutation
     def add(self, record: DnsRecord) -> DnsRecord:

@@ -53,6 +53,8 @@ class TinyDnsDialect(ConfigDialect):
     """Parser/serialiser for tinydns ``data`` files."""
 
     name = "tinydns"
+    #: One line, one node, read without regard to its neighbours.
+    line_oriented = True
 
     def _parse(self, text: str, filename: str) -> ConfigTree:
         root = ConfigNode("file", name=filename)

@@ -17,18 +17,26 @@ entries of Table 3.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, NamedTuple, Sequence
 
-from repro.core.infoset import ConfigSet, ConfigTree
+from repro.core.infoset import ConfigNode, ConfigSet, ConfigTree
+from repro.core.views.dns_view import ZoneContext
 from repro.dns.names import normalize_name
 from repro.dns.records import DnsRecord, RecordSet
 from repro.dns.resolver import ResolutionError, Resolver
 from repro.errors import ParseError
 from repro.parsers.base import get_dialect
 from repro.sut.base import FunctionalTest, StartResult, SystemUnderTest
-from repro.sut.dns.zonedata import RecordDataError, config_set_to_records
+from repro.sut.dns.zonedata import RecordDataError, config_set_to_records, zone_line_records
 from repro.sut.functional import dns_suite
-from repro.sut.incremental import BaselineValidation, ScenarioDelta, patched_trees
+from repro.sut.incremental import (
+    BaselineValidation,
+    NodeChange,
+    ScenarioDelta,
+    node_from_change,
+    patch_tree,
+    patched_trees,
+)
 
 __all__ = ["SimulatedBIND", "DEFAULT_NAMED_CONF", "DEFAULT_FORWARD_ZONE", "DEFAULT_REVERSE_ZONE"]
 
@@ -79,6 +87,43 @@ $ORIGIN 2.0.192.in-addr.arpa.
 20\tIN\tPTR\tmail.example.com.
 40\tIN\tPTR\tshell.example.com.
 """
+
+
+class _ZoneLine(NamedTuple):
+    """One top-level zone-file node in the splice index.
+
+    ``start:end`` is its slice of the served record list, ``context`` what
+    it was read under, ``owner`` its owner field, and ``inherited`` whether
+    the next record line is ownerless and so takes this line's owner.
+    """
+
+    start: int
+    end: int
+    context: ZoneContext
+    owner: str | None
+    inherited: bool
+
+
+class _BindDeltaState(NamedTuple):
+    """Splice index of the pristine zones: the zone table, the zone files in
+    load order (each mapped to its position), each file's lines and the
+    served records."""
+
+    zones: dict[str, str]
+    positions: dict[str, int]
+    lines: dict[str, tuple[_ZoneLine, ...]]
+    records: tuple[DnsRecord, ...]
+
+
+def _inherited(nodes: Sequence[ConfigNode]) -> list[bool]:
+    """Per node: whether the first record line after it has no owner."""
+    flags = [False] * len(nodes)
+    ownerless = False
+    for index in range(len(nodes) - 1, -1, -1):
+        flags[index] = ownerless
+        if nodes[index].kind == "record":
+            ownerless = not nodes[index].name
+    return flags
 
 
 class SimulatedBIND(SystemUnderTest):
@@ -140,24 +185,15 @@ class SimulatedBIND(SystemUnderTest):
     ) -> StartResult:
         """Load zones from a parsed ``named.conf`` tree.
 
-        The single source of truth for zone loading: the full start enters
-        after parsing ``named.conf``, the delta start after patching the
-        baseline trees.  ``zone_trees`` supplies already parsed zone files
+        The full start enters after parsing ``named.conf``; the delta start
+        enters after patching the baseline trees when an edit defeats its
+        splice index.  ``zone_trees`` supplies already parsed zone files
         (the delta path's patched set); zone files absent from it are parsed
         from ``files`` as usual.
         """
-        zones: dict[str, str] = {}
-        for section in named_conf.root.children_of_kind("section"):
-            if (section.name or "").lower() != "zone":
-                continue
-            zone_name = normalize_name((section.value or "").strip().strip('"'))
-            file_directive = section.child_named("file", kind="directive")
-            if file_directive is None or not file_directive.value:
-                return StartResult.failed(f"zone '{zone_name}': no file directive")
-            zones[zone_name] = file_directive.value.strip().strip('"')
-
-        if not zones:
-            return StartResult.failed("named.conf declares no zones")
+        zones = self._zone_table(named_conf)
+        if isinstance(zones, StartResult):
+            return zones
 
         config_set = ConfigSet()
         for zone_name, zone_file in zones.items():
@@ -183,71 +219,193 @@ class SimulatedBIND(SystemUnderTest):
             records = config_set_to_records(config_set)
         except RecordDataError as exc:
             return StartResult.failed(f"zone data rejected: {exc}")
+        return self._serve(zones, records)
+
+    @staticmethod
+    def _zone_table(named_conf: ConfigTree) -> dict[str, str] | StartResult:
+        """Zone name -> zone file, as ``named.conf`` declares them.
+
+        A failed :class:`StartResult` when a zone has no file directive or
+        there is no zone at all.
+        """
+        zones: dict[str, str] = {}
+        for section in named_conf.root.children_of_kind("section"):
+            if (section.name or "").lower() != "zone":
+                continue
+            zone_name = normalize_name((section.value or "").strip().strip('"'))
+            file_directive = section.child_named("file", kind="directive")
+            if file_directive is None or not file_directive.value:
+                return StartResult.failed(f"zone '{zone_name}': no file directive")
+            zones[zone_name] = file_directive.value.strip().strip('"')
+        if not zones:
+            return StartResult.failed("named.conf declares no zones")
+        return zones
+
+    def _serve(
+        self, zones: dict[str, str], records: RecordSet | Sequence[DnsRecord]
+    ) -> StartResult:
+        """Run the zone checks on the loaded records and, if they pass, serve."""
         errors = self.check_zones(zones, records)
         if errors:
             return StartResult.failed(*errors)
-
-        self._records = records
-        self._resolver = Resolver(records)
-        self.zones = zones
+        self._publish(zones, records)
         return StartResult.ok()
 
+    def _publish(self, zones: dict[str, str], records: RecordSet | Sequence[DnsRecord]) -> None:
+        self._records = records if isinstance(records, RecordSet) else RecordSet(records)
+        self._resolver = Resolver(self._records)
+        self.zones = dict(zones)
+
     # ------------------------------------------------------------ delta start
-    def _baseline_state(self, trees: ConfigSet) -> dict[str, object] | None:
-        """Pristine zone table and served records, for equivalence detection."""
+    def _baseline_state(self, trees: ConfigSet) -> _BindDeltaState | None:
+        """Index the pristine zone files for splicing single record lines.
+
+        Each top-level node of each loaded zone file gets its slice of the
+        served record list and the ``$ORIGIN``/``$TTL``/owner context it was
+        read under.  Zone files load once each, in zone-table order (a file
+        two zones share loads at its first position).
+        """
         if "named.conf" not in trees or self._records is None:
             return None
-        return {"zones": dict(self.zones), "records": list(self._records)}
+        loaded = tuple(dict.fromkeys(self.zones.values()))
+        if "named.conf" in loaded:
+            return None
+        records: list[DnsRecord] = []
+        lines: dict[str, tuple[_ZoneLine, ...]] = {}
+        for file_name in loaded:
+            entries: list[_ZoneLine] = []
+            context = ZoneContext()
+            nodes = trees.get(file_name).root.children
+            for node, inherited in zip(nodes, _inherited(nodes)):
+                derived, after = zone_line_records(node, file_name, context)
+                end = len(records) + len(derived)
+                entries.append(_ZoneLine(len(records), end, context, node.name, inherited))
+                records.extend(derived)
+                context = after
+            lines[file_name] = tuple(entries)
+        return _BindDeltaState(
+            zones=dict(self.zones),
+            positions={file_name: position for position, file_name in enumerate(loaded)},
+            lines=lines,
+            records=tuple(records),
+        )
 
     def start_delta(
         self, baseline: BaselineValidation, delta: ScenarioDelta
     ) -> StartResult | None:
-        """Reload from the patched baseline trees, skipping untransform/parse.
+        """Re-derive only the changed record lines and splice them in.
 
-        Zone-file edits reuse their patched parse; a mutated ``named.conf``
-        (zone name, file directive) re-resolves zone files through the same
-        lookup a full start performs.
+        Each changed record line is re-read under the context its baseline
+        line was read under; the first record the server refuses, in load
+        order, fails the start, as in a full load.  The new records replace
+        the line's slice of the served list; an unchanged list with an
+        unchanged zone table is the pristine start itself.  A ``named.conf``
+        edit re-resolves the zone table: while it loads the same files in
+        the same order the records are reused and only the zone checks
+        re-run.
+
+        Edits the index cannot localise re-derive the whole record set from
+        the patched trees: a ``$ORIGIN``/``$TTL`` line, an owner that an
+        ownerless next record inherits, a zone table that now loads other
+        files, an edit of a file no zone loads.
         """
+        state: _BindDeltaState = baseline.state
+        conf_changes: list[NodeChange] = []
+        edits: list[tuple[int, int, NodeChange]] = []
+        for change in delta.changes:
+            if change.tree == "named.conf":
+                conf_changes.append(change)
+                continue
+            position = state.positions.get(change.tree)
+            if position is None or change.kind != "record" or len(change.path) != 1:
+                return self._start_patched(baseline, delta)
+            line = state.lines[change.tree][change.path[0]]
+            if line.inherited and change.name != line.owner:
+                return self._start_patched(baseline, delta)
+            edits.append((position, change.path[0], change))
+
+        zones = state.zones
+        if conf_changes:
+            named_conf = patch_tree(baseline.trees.get("named.conf"), conf_changes)
+            if named_conf is None:
+                return None
+            zones = self._zone_table(named_conf)
+            if isinstance(zones, StartResult):
+                self.stop()
+                return zones
+            if list(dict.fromkeys(zones.values())) != list(state.positions):
+                return self._start_patched(baseline, delta)
+
+        self.stop()
+        records = state.records
+        splices: list[tuple[_ZoneLine, list[DnsRecord]]] = []
+        for _position, index, change in sorted(edits, key=lambda edit: edit[:2]):
+            line = state.lines[change.tree][index]
+            try:
+                derived, _after = zone_line_records(
+                    node_from_change(change, None), change.tree, line.context
+                )
+            except RecordDataError as exc:
+                return StartResult.failed(f"zone data rejected: {exc}")
+            if derived != list(records[line.start : line.end]):
+                splices.append((line, derived))
+        if splices:
+            spliced = list(records)
+            for line, derived in reversed(splices):
+                spliced[line.start : line.end] = derived
+            records = tuple(spliced)
+        elif zones == state.zones:
+            # not one served record or zone changed: the pristine start
+            self._publish(zones, records)
+            return baseline.result
+        return self._serve(zones, records)
+
+    def _start_patched(
+        self, baseline: BaselineValidation, delta: ScenarioDelta
+    ) -> StartResult | None:
+        """Reload from the patched baseline trees, skipping untransform/parse."""
         patched = patched_trees(baseline.trees, delta)
         if patched is None or "named.conf" not in patched:
             return None
         self.stop()
         result = self._start_from_trees(patched.get("named.conf"), baseline.files, patched)
-        state: dict[str, object] = baseline.state
+        state: _BindDeltaState = baseline.state
         if (
             result.started
-            and result.warnings == baseline.result.warnings
-            and self.zones == state["zones"]
+            and self.zones == state.zones
             and self._records is not None
-            and list(self._records) == state["records"]
+            and tuple(self._records) == state.records
         ):
             return baseline.result
         return result
 
     # ------------------------------------------------------------- zone checks
     @staticmethod
-    def check_zones(zones: Mapping[str, str], records: RecordSet) -> list[str]:
+    def check_zones(
+        zones: Mapping[str, str], records: RecordSet | Sequence[DnsRecord]
+    ) -> list[str]:
         """BIND-style zone sanity checks; returns the list of fatal problems."""
+        # one pass groups the record types by owner, in first-seen order
+        types_by_owner: dict[str, set[str]] = {}
+        for record in records:
+            types_by_owner.setdefault(record.name, set()).add(record.rtype)
+
         errors: list[str] = []
         for zone_name in zones:
-            if not records.records(zone_name, "SOA"):
+            apex = types_by_owner.get(normalize_name(zone_name), ())
+            if "SOA" not in apex:
                 errors.append(f"zone {zone_name}/IN: has no SOA record")
-            if not records.records(zone_name, "NS"):
+            if "NS" not in apex:
                 errors.append(f"zone {zone_name}/IN: has no NS records")
 
         # CNAME exclusivity: an alias owner may not have records of other types.
-        for owner in records.names():
-            owner_records = records.records(owner)
-            if any(record.rtype == "CNAME" for record in owner_records) and any(
-                record.rtype != "CNAME" for record in owner_records
-            ):
-                other = sorted({r.rtype for r in owner_records if r.rtype != "CNAME"})
-                errors.append(
-                    f"zone: {owner}: CNAME and other data ({', '.join(other)})"
-                )
+        for owner, types in types_by_owner.items():
+            if "CNAME" in types and len(types) > 1:
+                other = sorted(types - {"CNAME"})
+                errors.append(f"zone: {owner}: CNAME and other data ({', '.join(other)})")
 
         # MX / NS targets must not be aliases.
-        alias_owners = {record.name for record in records if record.rtype == "CNAME"}
+        alias_owners = {owner for owner, types in types_by_owner.items() if "CNAME" in types}
         for record in records:
             if record.rtype in ("MX", "NS") and record.value in alias_owners:
                 errors.append(

@@ -14,17 +14,17 @@ publishes whatever the data file describes.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
-from repro.core.infoset import ConfigSet, ConfigTree
+from repro.core.infoset import ConfigNode, ConfigSet, ConfigTree
 from repro.dns.records import DnsRecord, RecordSet
 from repro.dns.resolver import ResolutionError, Resolver
 from repro.errors import ParseError
 from repro.parsers.base import get_dialect
 from repro.sut.base import FunctionalTest, StartResult, SystemUnderTest
-from repro.sut.dns.zonedata import RecordDataError, config_set_to_records
+from repro.sut.dns.zonedata import RecordDataError, config_set_to_records, tinydns_line_records
 from repro.sut.functional import dns_suite
-from repro.sut.incremental import BaselineValidation, ScenarioDelta, patched_trees
+from repro.sut.incremental import BaselineValidation, ScenarioDelta, node_from_change
 
 __all__ = ["SimulatedDjbdns", "DEFAULT_TINYDNS_DATA"]
 
@@ -55,6 +55,15 @@ Cdocs.example.com:www.example.com:86400
 def _looks_like_ip(value: str) -> bool:
     parts = value.split(".")
     return len(parts) == 4 and all(part.isdigit() and 0 <= int(part) <= 255 for part in parts)
+
+
+class _DjbdnsDeltaState(NamedTuple):
+    """Splice index of the pristine ``data`` file: per top-level node its
+    ``(start, end, group)`` -- its slice of the published records and its
+    ordinal among the record lines -- and the published records."""
+
+    lines: tuple[tuple[int, int, int], ...]
+    records: tuple[DnsRecord, ...]
 
 
 class SimulatedDjbdns(SystemUnderTest):
@@ -100,61 +109,98 @@ class SimulatedDjbdns(SystemUnderTest):
     def _start_from_tree(self, tree: ConfigTree) -> StartResult:
         """Validate and publish from an already parsed ``data`` tree.
 
-        The single source of truth for the data-file semantics: the full
-        start enters after parsing, the delta start after patching the
-        baseline tree.
+        Like ``tinydns-data``, every line's syntax is checked before any
+        record is compiled, so a syntax error anywhere wins over a record
+        the compiler refuses.
         """
-        # Syntax-level validation, mirroring what tinydns-data checks when it
-        # compiles data into data.cdb.
         for node in tree.root.children_of_kind("record"):
-            prefix = node.get("prefix")
-            fields = [str(field) for field in node.get("fields", [])]
-            if prefix in ("=", "+", "-") and fields and fields[0] and not _looks_like_ip(fields[0]):
-                return StartResult.failed(
-                    f"tinydns-data: unable to parse IP address '{fields[0]}' in line for {node.name}"
-                )
-            if prefix == "@" and len(fields) > 2 and fields[2] and not fields[2].isdigit():
-                return StartResult.failed(
-                    f"tinydns-data: MX distance '{fields[2]}' is not a number in line for {node.name}"
-                )
-            if prefix == ":" and fields and fields[0] and not fields[0].isdigit():
-                return StartResult.failed(
-                    f"tinydns-data: generic record type '{fields[0]}' is not a number"
-                )
-
+            error = self._syntax_error(node)
+            if error is not None:
+                return StartResult.failed(error)
         try:
             records = config_set_to_records(ConfigSet([tree]))
         except RecordDataError as exc:
             return StartResult.failed(f"tinydns-data: {exc}")
-        self._records = records
-        self._resolver = Resolver(records)
+        self._publish(records)
         return StartResult.ok()
 
+    @staticmethod
+    def _syntax_error(node: ConfigNode) -> str | None:
+        """What ``tinydns-data`` says about a record line's syntax, if anything."""
+        prefix = node.get("prefix")
+        fields = [str(field) for field in node.get("fields", [])]
+        address = fields[0] if fields else ""
+        # an ``=`` line derives its PTR owner from the address, so an empty
+        # one is as unparsable as a malformed one; ``+``/``-`` accept it
+        if (prefix == "=" or (prefix in ("+", "-") and address)) and not _looks_like_ip(address):
+            return f"tinydns-data: unable to parse IP address '{address}' in line for {node.name}"
+        if prefix == "@" and len(fields) > 2 and fields[2] and not fields[2].isdigit():
+            return f"tinydns-data: MX distance '{fields[2]}' is not a number in line for {node.name}"
+        if prefix == ":" and address and not address.isdigit():
+            return f"tinydns-data: generic record type '{address}' is not a number"
+        return None
+
+    def _publish(self, records: RecordSet) -> None:
+        self._records = records
+        self._resolver = Resolver(records)
+
     # ------------------------------------------------------------ delta start
-    def _baseline_state(self, trees: ConfigSet) -> list[DnsRecord] | None:
-        """Pristine published records, for equivalence detection."""
+    def _baseline_state(self, trees: ConfigSet) -> _DjbdnsDeltaState | None:
+        """Index the pristine ``data`` file: each line's slice of the records."""
         if self.config_filename not in trees or self._records is None:
             return None
-        return list(self._records)
+        records: list[DnsRecord] = []
+        lines: list[tuple[int, int, int]] = []
+        group = 0
+        for node in trees.get(self.config_filename).root.children:
+            if node.kind == "record":
+                group += 1
+            derived = tinydns_line_records(node, self.config_filename, group)
+            lines.append((len(records), len(records) + len(derived), group))
+            records.extend(derived)
+        return _DjbdnsDeltaState(lines=tuple(lines), records=tuple(records))
 
     def start_delta(
         self, baseline: BaselineValidation, delta: ScenarioDelta
     ) -> StartResult | None:
-        """Revalidate the patched baseline tree, skipping untransform/parse."""
-        patched = patched_trees(baseline.trees, delta)
-        if patched is None or self.config_filename not in patched:
-            return None
+        """Re-derive only the changed ``data`` lines and splice them in.
+
+        Every tinydns line is self-contained, so a changed line's records
+        replace its slice of the published list and nothing else moves.
+        Errors come out as a full compile reports them: the first syntax
+        error in document order, else the first refused record.  An
+        unchanged list is the pristine start itself.
+        """
+        state: _DjbdnsDeltaState = baseline.state
+        edits: dict[int, ConfigNode] = {}
+        for change in delta.changes:
+            if change.tree != self.config_filename or len(change.path) != 1:
+                return None
+            edits[change.path[0]] = node_from_change(change, None)
         self.stop()
-        result = self._start_from_tree(patched.get(self.config_filename))
-        if (
-            result.started
-            and result.warnings == baseline.result.warnings
-            and self._records is not None
-            and list(self._records) == baseline.state
-        ):
+        order = sorted(edits)
+        for index in order:
+            error = self._syntax_error(edits[index])
+            if error is not None:
+                return StartResult.failed(error)
+        splices: list[tuple[int, int, list[DnsRecord]]] = []
+        for index in order:
+            start, end, group = state.lines[index]
+            try:
+                derived = tinydns_line_records(edits[index], self.config_filename, group)
+            except RecordDataError as exc:
+                return StartResult.failed(f"tinydns-data: {exc}")
+            if derived != list(state.records[start:end]):
+                splices.append((start, end, derived))
+        if not splices:
             # the mutation did not change a single published record
+            self._publish(RecordSet(state.records))
             return baseline.result
-        return result
+        records = list(state.records)
+        for start, end, derived in reversed(splices):
+            records[start:end] = derived
+        self._publish(RecordSet(records))
+        return StartResult.ok()
 
     # --------------------------------------------------------------- behaviour
     def query(self, name: str, rtype: str) -> list[DnsRecord]:

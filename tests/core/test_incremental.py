@@ -39,6 +39,7 @@ from repro.sut.incremental import (
     ScenarioDelta,
     clear_baseline_cache,
     node_at,
+    node_from_change,
     patch_tree,
 )
 from repro.sut.mysql import SimulatedMySQL
@@ -237,6 +238,67 @@ class TestRoundTripGuard:
             attrs=dict(node.attrs),
         )
         assert engine._vet_change(change, prepared.trees) is None
+
+    @pytest.fixture(scope="class")
+    def prepared_djbdns(self):
+        clear_baseline_cache()
+        engine = InjectionEngine(SimulatedDjbdns(), SpellingMistakesPlugin(), seed=1)
+        config_set, view_set, _ = engine.generate_scenarios()
+        prepared = engine.prepare_incremental(config_set, view_set)
+        assert prepared is not None
+        return engine, prepared
+
+    @given(
+        pick=st.integers(0, 10**6),
+        name=st.text("abcdefghijklmnopqrstuvwxyz.:#=+ \t\n", max_size=16),
+        value=st.one_of(st.none(), st.text("0123456789.:#= \t\n", max_size=12)),
+        address=st.one_of(st.none(), st.text("0123456789abc.:# \t\n", max_size=12)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_tinydns_substitution_matches_a_whole_file_parse(
+        self, prepared_djbdns, pick, name, value, address
+    ):
+        """Whatever a mutation writes into a ``data`` line, the node the guard
+        admits is the node a parse of the whole mutated file has there."""
+        engine, prepared = prepared_djbdns
+        tree = prepared.trees.get(SimulatedDjbdns.config_filename)
+        lines = [(path, node) for node, path in tree.root.walk_with_paths() if node.kind == "record"]
+        path, node = lines[pick % len(lines)]
+        attrs = dict(node.attrs)
+        if address is not None:
+            attrs["fields"] = [address, *attrs["fields"][1:]]
+        change = NodeChange(
+            tree=tree.name, path=path, kind="record", name=name, value=value, attrs=attrs
+        )
+        vetted = engine._vet_change(change, prepared.trees)
+        if vetted is None:
+            return  # guard fallback: the full pass handles it
+        mutated = tree.clone()
+        target = node_at(mutated, path)
+        target.name, target.value, target.attrs = change.name, change.value, dict(change.attrs)
+        dialect = get_dialect(tree.dialect)
+        whole = dialect.parse(dialect.serialize(mutated), filename=tree.name)
+        assert len(whole.root.children) == len(tree.root.children)
+        assert whole.root.children[path[0]].structurally_equal(node_from_change(vetted, None))
+
+    def test_tinydns_value_typo_substitutes_the_written_line(self, prepared_djbdns):
+        """The tinydns writer emits a line's fields, not its ``value``: a
+        value-only edit reparses as the untouched line, which is substituted."""
+        engine, prepared = prepared_djbdns
+        tree = prepared.trees.get(SimulatedDjbdns.config_filename)
+        path, node = next(
+            (path, node)
+            for node, path in tree.root.walk_with_paths()
+            if node.kind == "record" and node.get("prefix") == "="
+        )
+        change = NodeChange(
+            tree=tree.name, path=path, kind="record", name=node.name, value="19.0.2.1",
+            attrs=dict(node.attrs),
+        )
+        INCREMENTAL_STATS.reset()
+        vetted = engine._vet_change(change, prepared.trees)
+        assert INCREMENTAL_STATS.substitutions == 1
+        assert node_from_change(vetted, None).structurally_equal(node)
 
 
 # ------------------------------------------------------------------ patch_tree
