@@ -39,10 +39,12 @@ from repro.sut.base import SystemUnderTest, split_sut
 from repro.sut.incremental import (
     INCREMENTAL_STATS,
     BaselineValidation,
+    ChildEdit,
     NodeChange,
     ScenarioDelta,
     node_at,
     node_from_change,
+    splice_trees,
 )
 
 __all__ = ["InjectionEngine"]
@@ -227,17 +229,9 @@ class InjectionEngine:
         ):
             return change
         patched = node_from_change(change, base_node)
-        root = ConfigNode("file", name=baseline_tree.name)
-        root.append(patched)
-        snippet = ConfigTree(baseline_tree.name, root, dialect=baseline_tree.dialect)
-        try:
-            reparsed = dialect.parse(dialect.serialize(snippet), filename=baseline_tree.name)
-        except ConfErrError:
+        reparsed_node = _snippet_reparse(patched, baseline_tree)
+        if reparsed_node is None:
             return None
-        children = reparsed.root.children
-        if len(children) != 1:
-            return None
-        reparsed_node = children[0]
         if reparsed_node.structurally_equal(patched):
             return change
         if dialect.line_oriented and reparsed_node.kind == change.kind:
@@ -251,6 +245,40 @@ class InjectionEngine:
                 attrs=dict(reparsed_node.attrs),
             )
         return None
+
+    def _vet_edits(
+        self, edits: Sequence[ChildEdit], baseline_trees: ConfigSet
+    ) -> ScenarioDelta | None:
+        """Round-trip-check child-list edits; the delta the SUT may trust.
+
+        The spliced trees stand in for ``parse(serialize(mutated))`` only
+        when every edited child list is one its dialect's
+        :meth:`~repro.parsers.base.ConfigDialect.splice_safe` vouches for,
+        and every inserted node that is not a moved baseline subtree
+        survives a serialise-and-reparse on its own (a borrowed directive,
+        a duplicate carrying a conflicting value).  None otherwise.
+        """
+        spliced = splice_trees(baseline_trees, edits)
+        if spliced is None:
+            return None
+        for tree_name, parent, index in spliced[1]:
+            if not get_dialect(baseline_trees.get(tree_name).dialect).splice_safe(parent, index):
+                return None
+        for edit in edits:
+            if edit.node is None:
+                continue
+            baseline_tree = baseline_trees.get(edit.tree)
+            if edit.remove is not None and node_at(baseline_tree, edit.remove) is edit.node:
+                continue  # a moved baseline node: parsed from this very file
+            node = edit.node
+            if not node.children and get_dialect(baseline_tree.dialect).roundtrip_safe(
+                node.kind, node.name, node.value, node.attrs
+            ):
+                continue
+            reparsed = _snippet_reparse(node, baseline_tree)
+            if reparsed is None or not reparsed.structurally_equal(node):
+                return None
+        return ScenarioDelta((), tuple(edits))
 
     def _attempt_delta(
         self,
@@ -272,14 +300,25 @@ class InjectionEngine:
                 if changes is None:
                     INCREMENTAL_STATS.fallbacks += 1
                     return None
-                vetted = []
-                for change in changes:
-                    checked = self._vet_change(change, prepared.trees)
-                    if checked is None:
+                edits = [change for change in changes if isinstance(change, ChildEdit)]
+                if edits:
+                    if len(edits) != len(changes):
+                        INCREMENTAL_STATS.fallbacks += 1
+                        return None
+                    delta = self._vet_edits(edits, prepared.trees)
+                    if delta is None:
                         INCREMENTAL_STATS.guard_fallbacks += 1
                         return None
-                    vetted.append(checked)
-                result = self.sut.start_delta(prepared, ScenarioDelta(tuple(vetted)))
+                else:
+                    vetted = []
+                    for change in changes:
+                        checked = self._vet_change(change, prepared.trees)
+                        if checked is None:
+                            INCREMENTAL_STATS.guard_fallbacks += 1
+                            return None
+                        vetted.append(checked)
+                    delta = ScenarioDelta(tuple(vetted))
+                result = self.sut.start_delta(prepared, delta)
         except Exception:
             INCREMENTAL_STATS.errors += 1
             self._safe_stop()
@@ -452,8 +491,8 @@ class InjectionEngine:
 
         With a prepared ``incremental`` baseline, the engine first offers
         the scenario to the delta-validation path; scenarios it cannot
-        soundly localise (structural edits, guard refusals) run the classic
-        materialise-and-start pipeline, byte-identically.
+        soundly localise (multi-operation restructurings, guard refusals)
+        run the classic materialise-and-start pipeline, byte-identically.
         """
         started_at = time.perf_counter()
 
@@ -566,3 +605,18 @@ class InjectionEngine:
             self.sut.stop()
         except Exception:  # pragma: no cover - defensive: stop() should not fail
             pass
+
+
+def _snippet_reparse(node: ConfigNode, baseline_tree: ConfigTree) -> ConfigNode | None:
+    """``node`` serialised alone in a file of ``baseline_tree``'s dialect and
+    parsed back; None when that fails or does not give exactly one node."""
+    dialect = get_dialect(baseline_tree.dialect)
+    root = ConfigNode("file", name=baseline_tree.name)
+    root.children.append(node)
+    snippet = ConfigTree(baseline_tree.name, root, dialect=baseline_tree.dialect)
+    try:
+        reparsed = dialect.parse(dialect.serialize(snippet), filename=baseline_tree.name)
+    except ConfErrError:
+        return None
+    children = reparsed.root.children
+    return children[0] if len(children) == 1 else None

@@ -6,7 +6,7 @@ from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.core.infoset import ConfigSet
-from repro.sut.incremental import NodeChange, node_at
+from repro.sut.incremental import ChildEdit, NodeChange, node_at
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
     from repro.core.templates.base import FaultScenario
@@ -65,16 +65,18 @@ class View(ABC):
         scenario: "FaultScenario",
         view_set: ConfigSet,
         baseline_trees: ConfigSet,
-    ) -> "Optional[list[NodeChange]]":
-        """Reduce a scenario to the system-tree nodes it changes.
+    ) -> "Optional[list[NodeChange | ChildEdit]]":
+        """Reduce a scenario to what it does to the baseline system trees.
 
         Called with the *mutated* view (inside the scenario's apply/undo
         context) and the baseline system trees; returns detached
-        :class:`~repro.sut.incremental.NodeChange` records addressing
-        baseline nodes, or ``None`` when the view cannot localise the edit
-        to individual nodes (structural operations, cross-file grafts,
-        aggregate views).  ``None`` routes the scenario through the full
-        validation pass, so a conservative answer is always sound.
+        :class:`~repro.sut.incremental.NodeChange` records for nodes edited
+        in place, or :class:`~repro.sut.incremental.ChildEdit` records for
+        child lists the scenario restructures, all addressing baseline
+        nodes -- or ``None`` when the view cannot localise the scenario
+        (multi-operation restructurings, cross-file moves, aggregate
+        views).  ``None`` routes the scenario through the full validation
+        pass, so a conservative answer is always sound.
         """
         return None
 
@@ -112,12 +114,16 @@ class IdentityView(View):
         scenario: "FaultScenario",
         view_set: ConfigSet,
         baseline_trees: ConfigSet,
-    ) -> Optional[list[NodeChange]]:
+    ) -> Optional[list[NodeChange | ChildEdit]]:
         # Identity mapping: a view path *is* the system-tree path, so a
-        # field edit maps one-to-one onto a baseline node.  Anything but a
-        # field edit restructures the tree -- full pass.
+        # field edit maps one-to-one onto a baseline node, and a lone
+        # delete, insert or same-tree move onto one child-list edit.
         from repro.core.templates.base import SetFieldOperation  # cycle guard
 
+        operations = scenario.operations
+        if len(operations) == 1 and not isinstance(operations[0], SetFieldOperation):
+            edit = _child_edit(operations[0], baseline_trees)
+            return None if edit is None else [edit]
         latest: dict[tuple[str, tuple[int, ...]], NodeChange] = {}
         for operation in scenario.operations:
             if not isinstance(operation, SetFieldOperation):
@@ -139,3 +145,50 @@ class IdentityView(View):
                 attrs=node.attrs,
             )
         return list(latest.values())
+
+
+def _child_edit(operation, baseline_trees: ConfigSet) -> Optional[ChildEdit]:
+    """One structural operation as a child-list edit in baseline coordinates.
+
+    The scenario's single operation runs on the pristine view, so its
+    addresses are baseline paths; only a move's index counts positions
+    after the detach and is mapped back.
+    """
+    from repro.core.templates.base import DeleteOperation, InsertOperation, MoveOperation
+
+    if isinstance(operation, DeleteOperation):
+        # splicing refuses a path that does not resolve
+        return ChildEdit(tree=operation.target.tree, remove=tuple(operation.target.path))
+    if isinstance(operation, InsertOperation):
+        address = operation.parent
+        if address.tree not in baseline_trees:
+            return None
+        parent = node_at(baseline_trees.get(address.tree), address.path)
+        if parent is None:
+            return None
+        index = operation.index
+        if index is not None and index >= len(parent.children):
+            index = None
+        return ChildEdit(
+            tree=address.tree, parent=tuple(address.path), index=index, node=operation.node
+        )
+    if isinstance(operation, MoveOperation):
+        target, destination = operation.target, operation.new_parent
+        if target.tree != destination.tree or target.tree not in baseline_trees:
+            return None
+        path, parent_path = tuple(target.path), tuple(destination.path)
+        if not path or parent_path[: len(path)] == path:
+            return None
+        tree = baseline_trees.get(target.tree)
+        node, parent = node_at(tree, path), node_at(tree, parent_path)
+        if node is None or parent is None:
+            return None
+        index = operation.index
+        same_parent = parent_path == path[:-1]
+        if index is not None:
+            if index >= len(parent.children) - same_parent:
+                index = None
+            elif same_parent and index >= path[-1]:
+                index += 1  # the detached node no longer takes up a slot
+        return ChildEdit(tree=target.tree, remove=path, parent=parent_path, index=index, node=node)
+    return None

@@ -39,6 +39,11 @@ class ApacheConfDialect(ConfigDialect):
 
     name = "apache"
 
+    def splice_safe(self, parent, index) -> bool:
+        # every node is its own line or tag-delimited block, read the same
+        # wherever it stands
+        return True
+
     def _parse(self, text: str, filename: str) -> ConfigTree:
         root = ConfigNode("file", name=filename)
         stack: list[ConfigNode] = [root]

@@ -20,7 +20,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Any, Mapping
 
-from repro.core.infoset import ConfigTree
+from repro.core.infoset import ConfigNode, ConfigTree
 from repro.errors import SerializationError
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "available_dialects",
     "serialize_tree",
     "clean_source",
+    "header_splice_safe",
 ]
 
 _REGISTRY: dict[str, "ConfigDialect"] = {}
@@ -104,6 +105,22 @@ class ConfigDialect(ABC):
         """
         return False
 
+    def splice_safe(self, parent: ConfigNode, index: int) -> bool:
+        """Whether an edited child list re-parses as spliced around ``index``.
+
+        ``parent`` is a node whose child list has just been edited (a child
+        removed or inserted) and ``index`` the slot of the edit in that
+        list: the inserted node, or the node now following a removed one.
+        True promises that serialising the edited tree and parsing it back
+        gives the same nodes in the same slots around ``index`` -- nothing
+        is absorbed into a neighbouring block and no neighbour reads its
+        context differently -- so the delta path may validate the spliced
+        tree directly.  Whether each *inserted* node survives serialise and
+        parse on its own is checked separately.  False decides nothing: the
+        scenario takes the full pass.  The default promises nothing.
+        """
+        return False
+
     # ------------------------------------------------------------- public API
     def parse(self, text: str, filename: str = "<string>") -> ConfigTree:
         """Parse native ``text`` into a system-specific configuration tree.
@@ -147,6 +164,27 @@ class ConfigDialect(ABC):
     def roundtrip(self, text: str, filename: str = "<string>") -> str:
         """Parse then serialise ``text`` (useful for format-fidelity tests)."""
         return self.serialize(self.parse(text, filename))
+
+
+def header_splice_safe(parent: ConfigNode, index: int) -> bool:
+    """``splice_safe`` for formats whose section headers group what follows.
+
+    In INI files and ``sshd_config`` a header line opens a section that
+    runs to the next header, so sections cannot nest and, at the file
+    root, every entry must precede every section: an entry placed after a
+    section re-parses inside it (an sshd global directive after a
+    ``Match`` block is not even serialisable), and a section placed before
+    root entries swallows them.  A parsed file already has that shape, so
+    an edit can only break it next to its own slot.
+    """
+    children = parent.children
+    if parent.kind != "file":
+        return index >= len(children) or children[index].kind != "section"
+    around = children[max(index - 1, 0) : index + 2]
+    return not any(
+        before.kind == "section" and after.kind != "section"
+        for before, after in zip(around, around[1:])
+    )
 
 
 def register_dialect(dialect: ConfigDialect) -> ConfigDialect:

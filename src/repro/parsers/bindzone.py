@@ -95,6 +95,12 @@ class BindZoneDialect(ConfigDialect):
 
     name = "bindzone"
 
+    def splice_safe(self, parent, index) -> bool:
+        # a record line reads its context from the lines above it: an
+        # ownerless record takes the previous owner, and $ORIGIN/$TTL
+        # govern every line below them, so no splice is context-free
+        return False
+
     def _parse(self, text: str, filename: str) -> ConfigTree:
         root = ConfigNode("file", name=filename)
         raw_lines = text.splitlines()

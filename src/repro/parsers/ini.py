@@ -20,7 +20,7 @@ import re
 
 from repro.core.infoset import ConfigNode, ConfigTree
 from repro.errors import ParseError, SerializationError
-from repro.parsers.base import ConfigDialect, register_dialect
+from repro.parsers.base import ConfigDialect, header_splice_safe, register_dialect
 
 __all__ = ["IniDialect", "DIALECT"]
 
@@ -65,6 +65,9 @@ class IniDialect(ConfigDialect):
         if value != value.strip():
             return False
         return "#" not in value and ";" not in value and "\n" not in value and "\r" not in value
+
+    def splice_safe(self, parent, index) -> bool:
+        return header_splice_safe(parent, index)
 
     def _parse(self, text: str, filename: str) -> ConfigTree:
         root = ConfigNode("file", name=filename)

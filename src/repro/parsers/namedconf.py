@@ -44,6 +44,11 @@ class NamedConfDialect(ConfigDialect):
 
     name = "namedconf"
 
+    def splice_safe(self, parent, index) -> bool:
+        # statements nest anywhere; only a bare list item needs a block
+        children = parent.children
+        return parent.kind != "file" or index >= len(children) or children[index].kind != "item"
+
     def _parse(self, text: str, filename: str) -> ConfigTree:
         root = ConfigNode("file", name=filename)
         stack: list[ConfigNode] = [root]

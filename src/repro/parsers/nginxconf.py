@@ -60,6 +60,11 @@ class NginxConfDialect(ConfigDialect):
 
     name = "nginxconf"
 
+    def splice_safe(self, parent, index) -> bool:
+        # every node is its own line or brace-delimited block, read the
+        # same wherever it stands
+        return True
+
     def _parse(self, text: str, filename: str) -> ConfigTree:
         root = ConfigNode("file", name=filename)
         stack: list[ConfigNode] = [root]

@@ -38,6 +38,10 @@ class PostgresConfDialect(ConfigDialect):
     #: engine's single-node reparse substitution is sound.
     line_oriented = True
 
+    def splice_safe(self, parent, index) -> bool:
+        # a flat file of independent lines
+        return True
+
     def _parse(self, text: str, filename: str) -> ConfigTree:
         root = ConfigNode("file", name=filename)
         for line_number, raw_line in enumerate(text.splitlines(), start=1):

@@ -33,7 +33,7 @@ import re
 
 from repro.core.infoset import ConfigNode, ConfigTree
 from repro.errors import ParseError, SerializationError
-from repro.parsers.base import ConfigDialect, register_dialect
+from repro.parsers.base import ConfigDialect, header_splice_safe, register_dialect
 
 __all__ = ["SshdConfDialect", "DIALECT"]
 
@@ -51,6 +51,9 @@ class SshdConfDialect(ConfigDialect):
     #: neighbours (a Match header *groups* following lines but never changes
     #: how they tokenise), so single-node reparse substitution is sound.
     line_oriented = True
+
+    def splice_safe(self, parent, index) -> bool:
+        return header_splice_safe(parent, index)
 
     def _parse(self, text: str, filename: str) -> ConfigTree:
         root = ConfigNode("file", name=filename)

@@ -25,7 +25,7 @@ from repro.parsers.base import get_dialect
 from repro.sut.apache.directives import APACHE_DIRECTIVES, DEFAULT_HTTPD_CONF, SECTION_TAGS, DirectiveSpec
 from repro.sut.base import FunctionalTest, StartResult, SystemUnderTest
 from repro.sut.functional import web_suite
-from repro.sut.incremental import BaselineValidation, ScenarioDelta
+from repro.sut.incremental import BaselineValidation, ScenarioDelta, patched_trees
 
 __all__ = ["SimulatedApache"]
 
@@ -243,8 +243,13 @@ class SimulatedApache(SystemUnderTest):
         ``<IfModule>`` guard the walk evaluated, whole blocks change scope
         and None sends the scenario down the full path, as does any edit
         of a section header.
+
+        A structural delta (child-list edits) re-walks the spliced tree
+        instead: no serialise, no parse.
         """
         state: _ApacheDeltaState = baseline.state
+        if delta.edits:
+            return self._start_spliced(baseline, delta)
         overrides: dict[int, tuple[str | None, str | None]] = {}
         touched: dict[int, dict[int, tuple[str, str]]] = {}
         modules = state.modules
@@ -345,6 +350,26 @@ class SimulatedApache(SystemUnderTest):
         ):
             return baseline.result
         return StartResult.ok(warnings)
+
+    def _start_spliced(
+        self, baseline: BaselineValidation, delta: ScenarioDelta
+    ) -> StartResult | None:
+        patched = patched_trees(baseline.trees, delta)
+        if patched is None or self.config_filename not in patched:
+            return None
+        self.stop()
+        result = self._start_from_tree(patched.get(self.config_filename))
+        state: _ApacheDeltaState = baseline.state
+        if (
+            result.started
+            and result.warnings == baseline.result.warnings
+            and tuple(self.listen_ports) == state.ports
+            and tuple(self.document_roots) == state.roots
+            and tuple(self.virtual_hosts) == state.virtual_hosts
+            and self.effective_directives == state.directives
+        ):
+            return baseline.result
+        return result
 
     # ----------------------------------------------------------------- helpers
     #: Modules compiled into the server (always "present" for <IfModule>).

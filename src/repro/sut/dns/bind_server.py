@@ -307,8 +307,11 @@ class SimulatedBIND(SystemUnderTest):
         Edits the index cannot localise re-derive the whole record set from
         the patched trees: a ``$ORIGIN``/``$TTL`` line, an owner that an
         ownerless next record inherits, a zone table that now loads other
-        files, an edit of a file no zone loads.
+        files, an edit of a file no zone loads.  Structural deltas
+        (child-list edits) take the full pass.
         """
+        if delta.edits:
+            return None
         state: _BindDeltaState = baseline.state
         conf_changes: list[NodeChange] = []
         edits: list[tuple[int, int, NodeChange]] = []

@@ -169,8 +169,11 @@ class SimulatedDjbdns(SystemUnderTest):
         replace its slice of the published list and nothing else moves.
         Errors come out as a full compile reports them: the first syntax
         error in document order, else the first refused record.  An
-        unchanged list is the pristine start itself.
+        unchanged list is the pristine start itself.  Structural deltas
+        (child-list edits) take the full pass.
         """
+        if delta.edits:
+            return None
         state: _DjbdnsDeltaState = baseline.state
         edits: dict[int, ConfigNode] = {}
         for change in delta.changes:

@@ -9,25 +9,30 @@ delta protocol:
   file set once per ``(worker, plugin run)``, including the parsed trees and
   an opaque per-SUT reusable index (duplicate maps, option tables, context
   stacks).
-* :class:`NodeChange` / :class:`ScenarioDelta` -- a scenario reduced to the
-  detached field data of the configuration nodes it touches.  A change holds
-  plain data (kind, name, value, attrs), never node references, so it stays
-  valid after the copy-on-write context manager has undone the mutation and
-  is safe to share across threads.
+* :class:`NodeChange` / :class:`ChildEdit` / :class:`ScenarioDelta` -- a
+  scenario reduced to what it does to the baseline trees: the detached field
+  data of the nodes it edits in place (typos, value changes), or the child
+  lists it restructures (a node deleted, moved, duplicated or borrowed).  A
+  change holds plain data, never node references, so it stays valid after
+  the copy-on-write context manager has undone the mutation and is safe to
+  share across threads; an edit may reference a read-only node to insert
+  (a moved node is the baseline subtree itself).
 * a content-hash keyed baseline cache, so consecutive plugin runs (and suite
   cells) over the same system files reuse one prepared baseline instead of
   re-validating per run.
 * tree-patching helpers that build a revalidation tree by copying only the
-  spine above each changed node, sharing every untouched subtree with the
-  baseline.
+  spine above each changed node or edited child list, sharing every
+  untouched subtree with the baseline.
 * :data:`INCREMENTAL_STATS` -- process-global counters tracking how often
   the delta path ran versus fell back to a full validation pass.
 
 The engine decides *when* the delta path is sound (see
-``InjectionEngine.prepare_incremental`` and its round-trip guard); SUTs
-decide *how* to revalidate a delta (``SystemUnderTest.start_delta``).
-Returning ``None`` anywhere falls back to the byte-identical full pass, so
-the protocol can never change an experiment's outcome -- only its cost.
+``InjectionEngine.prepare_incremental`` and its round-trip guard, which asks
+each dialect's ``splice_safe`` whether an edited child list re-parses as
+patched); SUTs decide *how* to revalidate a delta
+(``SystemUnderTest.start_delta``).  Returning ``None`` anywhere falls back
+to the byte-identical full pass, so the protocol can never change an
+experiment's outcome -- only its cost.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from repro.core.infoset import ConfigNode, ConfigSet, ConfigTree
 __all__ = [
     "BaselineValidation",
     "NodeChange",
+    "ChildEdit",
     "ScenarioDelta",
     "IncrementalStats",
     "INCREMENTAL_STATS",
@@ -53,6 +59,7 @@ __all__ = [
     "node_from_change",
     "patch_tree",
     "patched_trees",
+    "splice_trees",
 ]
 
 
@@ -63,9 +70,12 @@ class IncrementalStats:
 
     ``attempts`` counts scenarios offered to the delta path;
     ``delta_starts`` the ones it validated without a full pass.  The three
-    fallback counters partition the remainder: ``fallbacks`` are structural
-    or unsupported edits, ``guard_fallbacks`` are changes the serialisation
-    round-trip guard refused, and ``errors`` are unexpected exceptions
+    fallback counters partition the remainder: ``fallbacks`` are scenarios
+    the view cannot express as a delta (multi-operation restructurings,
+    cross-file moves, aggregate views) or the SUT declined, ``guard_fallbacks``
+    are changes or child-list edits the round-trip guard refused (a node
+    that does not survive serialise+parse, a splice the dialect cannot
+    vouch for), and ``errors`` are unexpected exceptions
     (always recoverable -- the full pass runs instead).  ``substitutions``
     counts changes the guard accepted after replacing the mutated fields
     with their single-node reparse (line-oriented dialects only), and
@@ -115,8 +125,8 @@ class NodeChange:
 
     ``tree``/``path`` address the node inside the *baseline* system trees
     (child indices from the root); the remaining fields are the node's
-    post-mutation state.  Children are never part of a change -- a scenario
-    that restructures children is a fallback, not a delta.
+    post-mutation state.  Children are never part of a change: a scenario
+    that restructures children is expressed as :class:`ChildEdit` records.
     """
 
     tree: str
@@ -128,16 +138,41 @@ class NodeChange:
 
 
 @dataclass(frozen=True)
+class ChildEdit:
+    """One child-list edit of a baseline tree, in baseline coordinates.
+
+    ``remove`` is the path of a baseline node to drop; ``parent``/``index``/
+    ``node`` insert ``node`` under the baseline node at ``parent``, before
+    its baseline child ``index`` (None appends).  A deletion sets only
+    ``remove``, an insertion only the insert fields, and a move both, with
+    ``node`` the baseline subtree at ``remove`` itself, shared by reference.
+    ``node`` is read-only: patched trees splice it in without copying or
+    re-parenting it.
+    """
+
+    tree: str
+    remove: tuple[int, ...] | None = None
+    parent: tuple[int, ...] | None = None
+    index: int | None = None
+    node: ConfigNode | None = None
+
+
+@dataclass(frozen=True)
 class ScenarioDelta:
-    """All node changes of one scenario, in operation order."""
+    """What one scenario does to the baseline trees, in operation order.
+
+    ``changes`` edit nodes in place; ``edits`` restructure child lists.  A
+    delta carrying both is not patched (:func:`patched_trees` returns None).
+    """
 
     changes: tuple[NodeChange, ...]
+    edits: tuple[ChildEdit, ...] = ()
 
     def trees(self) -> list[str]:
         """Names of the trees this delta touches, deduplicated, in order."""
         seen: dict[str, None] = {}
-        for change in self.changes:
-            seen.setdefault(change.tree, None)
+        for item in (*self.changes, *self.edits):
+            seen.setdefault(item.tree, None)
         return list(seen)
 
 
@@ -250,16 +285,9 @@ def patch_tree(tree: ConfigTree, changes: Iterable[NodeChange]) -> ConfigTree | 
     for shorter, longer in zip(ordered, ordered[1:]):
         if longer[: len(shorter)] == shorter:
             return None
-    root = _spine_copy(tree.root)
-    copies: dict[tuple[int, ...], ConfigNode] = {(): root}
+    root, copies = _spine_copies(tree.root, [path[:-1] for path in by_path])
     for path, change in by_path.items():
-        parent = root
-        for depth in range(1, len(path)):
-            node = copies.get(path[:depth])
-            if node is None:
-                node = copies[path[:depth]] = _spine_copy(parent.children[path[depth - 1]])
-                parent.children[path[depth - 1]] = node
-            parent = node
+        parent = copies[path[:-1]]
         parent.children[path[-1]] = node_from_change(change, parent.children[path[-1]])
     return ConfigTree(tree.name, root, dialect=tree.dialect)
 
@@ -270,12 +298,128 @@ def _spine_copy(node: ConfigNode) -> ConfigNode:
     return copy
 
 
-def patched_trees(baseline_trees: ConfigSet, delta: ScenarioDelta) -> ConfigSet | None:
-    """A ConfigSet mirroring the baseline with the delta's changes applied.
+def _spine_copies(
+    root: ConfigNode, paths: Iterable[tuple[int, ...]]
+) -> tuple[ConfigNode, dict[tuple[int, ...], ConfigNode]]:
+    """Copy ``root`` and every node on the way to each path, sharing the rest.
 
-    Unchanged trees are shared verbatim; changed trees are spine-copied.
-    Returns None when a change addresses an unknown tree or node.
+    Returns the root copy and the copies keyed by their baseline path; each
+    copy's child list is its own, still in baseline order.
     """
+    root_copy = _spine_copy(root)
+    copies: dict[tuple[int, ...], ConfigNode] = {(): root_copy}
+    for path in paths:
+        node = root_copy
+        for depth in range(1, len(path) + 1):
+            copy = copies.get(path[:depth])
+            if copy is None:
+                copy = copies[path[:depth]] = _spine_copy(node.children[path[depth - 1]])
+                node.children[path[depth - 1]] = copy
+            node = copy
+    return root_copy, copies
+
+
+#: Where a child-list edit landed: (tree name, edited parent copy, slot).
+SplicePoint = tuple[str, ConfigNode, int]
+
+
+def _splice_tree(
+    tree: ConfigTree, edits: Iterable[ChildEdit]
+) -> tuple[ConfigTree, list[SplicePoint]] | None:
+    # per edited parent: (baseline index, 0 = insert / 1 = remove, order, node)
+    steps: dict[tuple[int, ...], list[tuple[int, int, int, ConfigNode | None]]] = {}
+    removed_paths: list[tuple[int, ...]] = []
+    for order, edit in enumerate(edits):
+        if edit.remove is None and edit.node is None:
+            return None
+        if edit.remove is not None:
+            if not edit.remove or node_at(tree, edit.remove) is None:
+                return None
+            removed_paths.append(edit.remove)
+            steps.setdefault(edit.remove[:-1], []).append((edit.remove[-1], 1, order, None))
+        if edit.node is not None:
+            parent = None if edit.parent is None else node_at(tree, edit.parent)
+            if parent is None:
+                return None
+            index = len(parent.children) if edit.index is None else edit.index
+            if not 0 <= index <= len(parent.children):
+                return None
+            steps.setdefault(edit.parent, []).append((index, 0, order, edit.node))
+    if len(set(removed_paths)) != len(removed_paths):
+        return None
+    for path in removed_paths:
+        # nothing may be edited inside a removed (or moved) subtree
+        if any(other[: len(path)] == path for other in steps):
+            return None
+    root, copies = _spine_copies(tree.root, steps)
+    points: list[SplicePoint] = []
+    for path, parent_steps in steps.items():
+        copy = copies[path]
+        old = copy.children
+        children: list[ConfigNode] = []
+        done = 0
+        for index, removal, _order, node in sorted(parent_steps, key=lambda step: step[:3]):
+            children.extend(old[done:index])
+            points.append((tree.name, copy, len(children)))
+            if removal:
+                done = index + 1
+            else:
+                done = index
+                children.append(node)
+        children.extend(old[done:])
+        if not path and not children:
+            return None
+        copy.children = children
+    return ConfigTree(tree.name, root, dialect=tree.dialect), points
+
+
+def splice_trees(
+    baseline_trees: ConfigSet, edits: Iterable[ChildEdit]
+) -> tuple[ConfigSet, list[SplicePoint]] | None:
+    """The baseline with child-list ``edits`` applied, and where each landed.
+
+    Every touched parent is spine-copied and its copied child list spliced;
+    untouched subtrees stay shared.  Each removal and insertion yields one
+    ``(tree, parent, slot)`` point: ``parent`` is the edited copy and
+    ``slot`` the index, in its edited child list, of the inserted node or of
+    the node that now follows a removed one -- what a dialect's
+    ``splice_safe`` inspects.  Returns None when a path does not resolve, a
+    node is removed twice, an edit lands inside a removed subtree, or a file
+    root would be left without children.
+    """
+    by_tree: dict[str, list[ChildEdit]] = {}
+    for edit in edits:
+        if edit.tree not in baseline_trees:
+            return None
+        by_tree.setdefault(edit.tree, []).append(edit)
+    patched = ConfigSet()
+    points: list[SplicePoint] = []
+    for tree in baseline_trees:
+        tree_edits = by_tree.get(tree.name)
+        if tree_edits is None:
+            patched.add(tree)
+            continue
+        spliced = _splice_tree(tree, tree_edits)
+        if spliced is None:
+            return None
+        patched.add(spliced[0])
+        points.extend(spliced[1])
+    return patched, points
+
+
+def patched_trees(baseline_trees: ConfigSet, delta: ScenarioDelta) -> ConfigSet | None:
+    """A ConfigSet mirroring the baseline with the delta applied.
+
+    Unchanged trees are shared verbatim; changed trees are spine-copied
+    (field changes via :func:`patch_tree`, child-list edits via
+    :func:`splice_trees`).  Returns None when a change or edit addresses an
+    unknown tree or node, or the delta mixes field changes with edits.
+    """
+    if delta.edits:
+        if delta.changes:
+            return None
+        spliced = splice_trees(baseline_trees, delta.edits)
+        return None if spliced is None else spliced[0]
     by_tree: dict[str, list[NodeChange]] = {}
     for change in delta.changes:
         if change.tree not in baseline_trees:

@@ -21,12 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.core.infoset import ConfigSet
+from repro.core.infoset import ConfigSet, ConfigTree
 from repro.errors import ParseError
 from repro.parsers.base import get_dialect
 from repro.sut.base import FunctionalTest, StartResult, SystemUnderTest
 from repro.sut.functional import database_suite
-from repro.sut.incremental import BaselineValidation, ScenarioDelta
+from repro.sut.incremental import BaselineValidation, ScenarioDelta, patched_trees
 from repro.sut.mysql.options import AUXILIARY_SECTIONS, CLIENT_OPTIONS, DEFAULT_MY_CNF, MYSQLD_OPTIONS
 from repro.sut.options import OptionSpec, OptionTable
 from repro.sut.storage import Connection, MiniSqlEngine
@@ -172,7 +172,14 @@ class SimulatedMySQL(SystemUnderTest):
             tree = get_dialect("ini").parse(text, filename=self.config_filename)
         except ParseError as exc:
             return StartResult.failed(f"could not parse option file: {exc}")
+        return self._start_from_tree(tree)
 
+    def _start_from_tree(self, tree: ConfigTree) -> StartResult:
+        """Validate and bring up the server from an already parsed tree.
+
+        The full start enters after parsing, a structural delta start
+        after splicing the baseline tree, so both walks are the same code.
+        """
         settings: dict[str, object] = {
             spec.canonical_name(): self._default_for(spec) for spec in MYSQLD_OPTIONS
         }
@@ -255,9 +262,12 @@ class SimulatedMySQL(SystemUnderTest):
         A changed directive's effect (error, assignment, warnings) is
         recomputed in isolation and substituted at its document position;
         every key it touched is re-resolved by last-write-wins over the
-        baseline index.  Section edits and unknown paths fall back.
+        baseline index.  Section edits and unknown paths fall back.  A
+        structural delta (child-list edits) re-walks the spliced tree.
         """
         state: _MySqlDeltaState = baseline.state
+        if delta.edits:
+            return self._start_spliced(baseline, delta)
         overrides: dict[int, tuple[str, str | None]] = {}
         for change in delta.changes:
             if change.tree != self.config_filename:
@@ -333,6 +343,24 @@ class SimulatedMySQL(SystemUnderTest):
             # suite observes a state indistinguishable from the pristine one
             return baseline.result
         return StartResult.ok(warnings)
+
+    def _start_spliced(
+        self, baseline: BaselineValidation, delta: ScenarioDelta
+    ) -> StartResult | None:
+        patched = patched_trees(baseline.trees, delta)
+        if patched is None or self.config_filename not in patched:
+            return None
+        self.stop()
+        result = self._start_from_tree(patched.get(self.config_filename))
+        if (
+            result.started
+            and result.warnings == baseline.result.warnings
+            and int(self.effective_settings.get("max_connections") or 1)
+            == int(baseline.state.final_settings.get("max_connections") or 1)
+        ):
+            # the existing field-delta test: same outcome, same admission limit
+            return baseline.result
+        return result
 
     # ----------------------------------------------------------------- helpers
     @staticmethod

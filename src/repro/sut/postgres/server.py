@@ -18,12 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.core.infoset import ConfigSet
+from repro.core.infoset import ConfigSet, ConfigTree
 from repro.errors import ParseError
 from repro.parsers.base import get_dialect
 from repro.sut.base import FunctionalTest, StartResult, SystemUnderTest
 from repro.sut.functional import database_suite
-from repro.sut.incremental import BaselineValidation, ScenarioDelta
+from repro.sut.incremental import BaselineValidation, ScenarioDelta, patched_trees
 from repro.sut.options import OptionSpec
 from repro.sut.postgres.options import CROSS_CONSTRAINTS, DEFAULT_POSTGRESQL_CONF, POSTGRES_OPTIONS
 from repro.sut.storage import Connection, MiniSqlEngine
@@ -157,7 +157,14 @@ class SimulatedPostgres(SystemUnderTest):
             tree = get_dialect("pgconf").parse(text, filename=self.config_filename)
         except ParseError as exc:
             return StartResult.failed(f"syntax error in configuration file: {exc}")
+        return self._start_from_tree(tree)
 
+    def _start_from_tree(self, tree: ConfigTree) -> StartResult:
+        """Validate and bring up the server from an already parsed tree.
+
+        The full start enters after parsing, a structural delta start
+        after splicing the baseline tree, so both walks are the same code.
+        """
         settings: dict[str, object] = {}
         for spec in POSTGRES_OPTIONS:
             try:
@@ -235,9 +242,12 @@ class SimulatedPostgres(SystemUnderTest):
         Each changed directive is re-parsed in isolation (Postgres directive
         errors never depend on earlier lines) and substituted at its document
         position; touched keys are re-resolved last-write-wins and the
-        cross-parameter constraints re-checked on the spliced settings.
+        cross-parameter constraints re-checked on the spliced settings.  A
+        structural delta (child-list edits) re-walks the spliced tree.
         """
         state: _PostgresDeltaState = baseline.state
+        if delta.edits:
+            return self._start_spliced(baseline, delta)
         overrides: dict[int, tuple[str, str | None]] = {}
         for change in delta.changes:
             if change.tree != self.config_filename:
@@ -302,6 +312,22 @@ class SimulatedPostgres(SystemUnderTest):
             # admission limit makes the delta functionally equivalent
             return baseline.result
         return StartResult.ok()
+
+    def _start_spliced(
+        self, baseline: BaselineValidation, delta: ScenarioDelta
+    ) -> StartResult | None:
+        patched = patched_trees(baseline.trees, delta)
+        if patched is None or self.config_filename not in patched:
+            return None
+        self.stop()
+        result = self._start_from_tree(patched.get(self.config_filename))
+        if result.started and int(self.effective_settings.get("max_connections") or 1) == int(
+            baseline.state.final_settings.get("max_connections") or 1
+        ):
+            # the existing field-delta test: a successful start carries no
+            # warnings, so an equal admission limit is the pristine outcome
+            return baseline.result
+        return result
 
     # ----------------------------------------------------------------- helpers
     def _apply_directive(

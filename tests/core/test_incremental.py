@@ -10,9 +10,12 @@ fallback machinery that makes the contract hold:
 * a hypothesis property: every change the round-trip guard accepts produces
   a patched tree that reparses to itself, so the SUT revalidates exactly
   what a real parse of the mutated file would build,
-* fallback routing: structural edits, newline smuggling, kind-changing
-  typos and mutated include arguments all take the full path (or resolve
-  identically through it),
+* fallback routing: structural edits on the DNS servers, newline
+  smuggling, kind-changing typos and mutated include arguments all take
+  the full path (or resolve identically through it),
+* child-list edits: a view's edit splices the baseline exactly as the
+  delete, insert or move it stands for edits the view, sharing every
+  untouched subtree, and unsound edit sets fall back,
 * the content-hash baseline cache, counters and the spec/CLI knob.
 """
 
@@ -23,7 +26,17 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.campaign import Campaign
 from repro.core.engine import InjectionEngine
+from repro.core.infoset import ConfigSet
 from repro.core.spec import RESUME_IRRELEVANT_PATHS, ExecutionSpec
+from repro.core.templates.base import (
+    DeleteOperation,
+    FaultScenario,
+    InsertOperation,
+    MoveOperation,
+    NodeAddress,
+)
+from repro.core.views.structure_view import StructureView
+from repro.errors import TemplateError
 from repro.parsers.base import get_dialect
 from repro.plugins import (
     DnsSemanticErrorsPlugin,
@@ -35,12 +48,14 @@ from repro.sut.apache import SimulatedApache
 from repro.sut.dns import SimulatedBIND, SimulatedDjbdns
 from repro.sut.incremental import (
     INCREMENTAL_STATS,
+    ChildEdit,
     NodeChange,
     ScenarioDelta,
     clear_baseline_cache,
     node_at,
     node_from_change,
     patch_tree,
+    patched_trees,
 )
 from repro.sut.mysql import SimulatedMySQL
 from repro.sut.nginx import SimulatedNginx
@@ -120,14 +135,16 @@ class TestDeltaFullParity:
         assert slow_stats["attempts"] == 0, "incremental=False must disable the path"
 
     @pytest.mark.parametrize("sut_class", ALL_SUTS, ids=lambda c: c.name)
-    def test_structural_parity_routes_to_full_path(self, sut_class):
-        """Node insertion/deletion restructures trees: always a fallback."""
+    def test_structural_parity(self, sut_class):
+        """Deletes, duplicates and moves splice child lists; DNS falls back."""
         (fast, fast_stats), (slow, _) = _run_both(sut_class, StructuralErrorsPlugin)
         assert fast == slow
-        assert fast_stats["delta_starts"] == 0
-        # every attempted scenario fell back (prepare may refuse the path
-        # outright for views that normalise, leaving attempts at zero)
-        assert fast_stats["fallbacks"] == fast_stats["attempts"]
+        if sut_class in (SimulatedBIND, SimulatedDjbdns):
+            # record lines read their context from the lines above them
+            assert fast_stats["delta_starts"] == 0
+            assert fast_stats["fallbacks"] == fast_stats["attempts"]
+        else:
+            assert fast_stats["delta_starts"] > 0, "the delta path never engaged"
 
     @pytest.mark.parametrize(
         "sut_class", [SimulatedMySQL, SimulatedApache, SimulatedNginx], ids=lambda c: c.name
@@ -516,3 +533,97 @@ class TestIncrementalKnob:
     def test_campaign_threads_the_knob_to_engines(self):
         campaign = Campaign(SimulatedMySQL, [SpellingMistakesPlugin()], incremental=False)
         assert campaign.incremental is False
+
+
+# --------------------------------------------------------------- splice_trees
+@st.composite
+def structural_operations(draw, tree):
+    """A delete, insert (of a copy) or move of one node of ``tree``."""
+    nodes = [(node, path) for node, path in tree.root.walk_with_paths() if path]
+    node, path = draw(st.sampled_from(nodes))
+    target = NodeAddress(tree.name, path)
+    kind = draw(st.sampled_from(("delete", "insert", "move")))
+    if kind == "delete":
+        return DeleteOperation(target)
+    containers = [
+        (container, where)
+        for container, where in tree.root.walk_with_paths()
+        if container.kind in ("file", "section")
+    ]
+    container, where = draw(st.sampled_from(containers))
+    index = draw(st.one_of(st.none(), st.integers(0, len(container.children) + 1)))
+    if kind == "insert":
+        return InsertOperation(NodeAddress(tree.name, where), node.clone(), index=index)
+    return MoveOperation(target, NodeAddress(tree.name, where), index=index)
+
+
+class TestSpliceTrees:
+    """A view's child-list edit splices the baseline as the operation edits it."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_view_edit_splices_like_the_operation(self, data):
+        tree, _paths = data.draw(st.sampled_from(SHIPPED_TREES))
+        baseline = ConfigSet([tree])
+        operation = data.draw(structural_operations(tree))
+        scenario = FaultScenario("s", "structural edit", "test", (operation,))
+        try:
+            reference = scenario.apply(baseline).get(tree.name)
+        except TemplateError:
+            return  # a move into the node's own subtree
+        snapshot, layout = tree.clone(), _identity_layout(tree)
+
+        edits = StructureView().scenario_changes(scenario, baseline, baseline)
+        patched = patched_trees(baseline, ScenarioDelta((), tuple(edits)))
+
+        assert tree.structurally_equal(snapshot) and _identity_layout(tree) == layout
+        if not reference.root.children:
+            assert patched is None  # an emptied file takes the full path
+            return
+        assert patched.get(tree.name).structurally_equal(reference)
+        # a moved node is the baseline subtree itself, never a copy
+        if isinstance(operation, MoveOperation):
+            moved = node_at(tree, operation.target.path)
+            assert any(node is moved for node in patched.get(tree.name).walk())
+
+    def test_untouched_subtrees_are_shared(self):
+        tree, _paths = SHIPPED_TREES[0]
+        section_path = next(
+            path for node, path in tree.root.walk_with_paths() if len(path) == 1 and node.children
+        )
+        edit = ChildEdit(tree.name, remove=section_path + (0,))
+        patched = patched_trees(ConfigSet([tree]), ScenarioDelta((), (edit,))).get(tree.name)
+        assert patched.root is not tree.root
+        for index, child in enumerate(patched.root.children):
+            if index == section_path[0]:
+                assert child is not tree.root.children[index]
+                assert child.children == tree.root.children[index].children[1:]
+            else:
+                assert child is tree.root.children[index]
+
+    def test_unsound_edit_sets_fall_back(self):
+        tree, _paths = SHIPPED_TREES[0]
+        baseline = ConfigSet([tree])
+        section_path = next(
+            path for node, path in tree.root.walk_with_paths() if path and node.children
+        )
+        node = node_at(tree, section_path)
+        change = NodeChange(tree.name, section_path, node.kind, node.name, "x")
+        unsound = [
+            (ChildEdit(tree.name, remove=(len(tree.root.children),)),),  # no such node
+            (ChildEdit("no-such-file", remove=(0,)),),
+            (ChildEdit(tree.name, parent=(0,) * 9, node=node),),
+            (ChildEdit(tree.name, parent=(), index=-1, node=node),),
+            # an edit inside a removed subtree, and a node removed twice
+            (
+                ChildEdit(tree.name, remove=section_path),
+                ChildEdit(tree.name, parent=section_path, node=node),
+            ),
+            (ChildEdit(tree.name, remove=(0,)), ChildEdit(tree.name, remove=(0,))),
+            # a file root left without children
+            tuple(ChildEdit(tree.name, remove=(i,)) for i in range(len(tree.root.children))),
+        ]
+        for edits in unsound:
+            assert patched_trees(baseline, ScenarioDelta((), edits)) is None, edits
+        mixed = ScenarioDelta((change,), (ChildEdit(tree.name, remove=(0,)),))
+        assert patched_trees(baseline, mixed) is None

@@ -17,7 +17,12 @@ For every dialect and input the properties are:
   trees the format cannot express,
 * a UTF-8 BOM and CRLF line endings never break parsing, and CRLF files
   round-trip byte-identically (regression: real nginx/sshd files on disk
-  have both).
+  have both),
+* whenever a dialect's ``splice_safe`` vouches for a child-list edit of a
+  shipped configuration (a node deleted, moved or re-inserted), the full
+  parse of the serialised spliced tree is that tree, and every untouched
+  node is read under the context it had before -- the delta path trusts
+  exactly this claim.
 """
 
 from __future__ import annotations
@@ -27,9 +32,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.infoset import ConfigNode, ConfigTree
+from repro.core.infoset import ConfigNode, ConfigSet, ConfigTree
+from repro.core.views.dns_view import DnsRecordView, ZoneContext
 from repro.errors import SerializationError
 from repro.parsers.base import available_dialects, get_dialect
+from repro.registry import available_systems, get_system
+from repro.sut.incremental import ChildEdit, splice_trees
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "fixtures" / "corpus"
 
@@ -255,6 +263,101 @@ class TestCorpusRoundTrips:
             "every registered dialect needs a corpus fixture; add one for the "
             "missing dialect(s)"
         )
+
+
+# ------------------------------------------------------------ splice safety
+def _splice_sources() -> dict[str, list[tuple[str, str]]]:
+    """Dialect -> (file name, text) of every shipped configuration in it,
+    plus its corpus file (the only source of a dialect no system ships,
+    and of constructs the shipped files lack, such as named.conf lists)."""
+    sources: dict[str, list[tuple[str, str]]] = {}
+    seen: set[str] = set()
+    for system in available_systems():
+        sut = get_system(system)()
+        for filename, text in sut.default_configuration().items():
+            if text not in seen:
+                seen.add(text)
+                sources.setdefault(sut.dialect_for(filename), []).append((filename, text))
+    for filename, dialect_name in CORPUS.items():
+        text = (CORPUS_DIR / filename).read_text(encoding="utf-8")
+        sources.setdefault(dialect_name, []).append((filename, text))
+    return sources
+
+
+SPLICE_SOURCES = _splice_sources()
+
+
+def _zone_contexts(tree: ConfigTree) -> dict[int, tuple]:
+    """The context each zone-file line is read under ($ORIGIN, $TTL and,
+    for an ownerless record, the owner it inherits), by node identity."""
+    readings: dict[int, tuple] = {}
+    context = ZoneContext()
+    for node in tree.root.children:
+        inherited = context.last_owner if node.kind == "record" and not node.name else None
+        readings[id(node)] = (context.origin, context.default_ttl, inherited)
+        _records, context = DnsRecordView.zone_line_records(node, tree.name, context)
+    return readings
+
+
+#: Dialects whose lines read context from the lines above them: how each
+#: line is read, keyed by node identity.
+LINE_CONTEXTS = {"bindzone": _zone_contexts}
+
+
+@st.composite
+def child_edits(draw, tree: ConfigTree):
+    """A delete, move or re-insert of one baseline node of ``tree``."""
+    nodes = [(node, path) for node, path in tree.root.walk_with_paths() if path]
+    node, path = draw(st.sampled_from(nodes))
+    operation = draw(st.sampled_from(("delete", "move", "reinsert")))
+    if operation == "delete":
+        return ChildEdit(tree.name, remove=path)
+    containers = [
+        (container, where)
+        for container, where in tree.root.walk_with_paths()
+        if container.kind in ("file", "section")
+        and not (operation == "move" and where[: len(path)] == path)
+    ]
+    container, where = draw(st.sampled_from(containers))
+    index = draw(st.one_of(st.none(), st.integers(0, len(container.children))))
+    if operation == "move":
+        return ChildEdit(tree.name, remove=path, parent=where, index=index, node=node)
+    return ChildEdit(tree.name, parent=where, index=index, node=node.clone())
+
+
+class TestSpliceSafety:
+    """``splice_safe`` is a claim the full parse can check, so check it."""
+
+    @pytest.mark.parametrize("dialect_name", sorted(SPLICE_SOURCES))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_vouched_splices_reparse_as_spliced(self, dialect_name, data):
+        dialect = get_dialect(dialect_name)
+        filename, text = data.draw(st.sampled_from(SPLICE_SOURCES[dialect_name]))
+        tree = dialect.parse(text, filename=filename)
+        edit = data.draw(child_edits(tree))
+        spliced = splice_trees(ConfigSet([tree]), [edit])
+        if spliced is None:
+            return
+        patched_set, points = spliced
+        if not all(dialect.splice_safe(parent, index) for _name, parent, index in points):
+            return
+        patched = patched_set.get(filename)
+        reparsed = dialect.parse(dialect.serialize(patched), filename=filename)
+        assert reparsed.root.structurally_equal(patched.root), (
+            f"{dialect_name}: {edit} re-parses differently from the spliced tree"
+        )
+        reading = LINE_CONTEXTS.get(dialect_name)
+        if reading is not None:
+            before, after = reading(tree), reading(patched)
+            for node in patched.root.children:
+                if node is not edit.node and id(node) in before:
+                    assert after[id(node)] == before[id(node)], (
+                        f"{dialect_name}: {edit} changes how an untouched line is read"
+                    )
+
+    def test_every_registered_dialect_has_a_splice_source(self):
+        assert set(SPLICE_SOURCES) == set(available_dialects())
 
 
 class TestParseFileEncodings:
